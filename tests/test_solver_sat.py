@@ -157,6 +157,100 @@ class TestModelSoundness:
         assert s.solve() is SatResult.UNSAT
 
 
+def _truth_masks(num_vars):
+    """masks[v]: bit a set iff assignment a (bit v-1 = var v) makes v true.
+
+    Assignment sets over ``num_vars`` variables are then Python ints of
+    ``2**num_vars`` bits, so a whole CNF is enumerated with a few big-int
+    operations instead of a loop over every assignment.
+    """
+    size = 1 << num_vars
+    every = (1 << size) - 1
+    masks = [0]
+    for i in range(num_vars):
+        half = 1 << i
+        repeat = every // ((1 << (2 * half)) - 1)
+        masks.append((((1 << half) - 1) << half) * repeat)
+    return masks, every
+
+
+def _models(clauses, masks, every):
+    """The set of assignments that satisfy every clause."""
+    models = every
+    for clause in clauses:
+        satisfying = 0
+        for lit in clause:
+            satisfying |= masks[lit] if lit > 0 else every & ~masks[-lit]
+        models &= satisfying
+    return models
+
+
+class TestBruteForceCrossCheck:
+    """Every verdict, UNSAT included, against exhaustive enumeration."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_verdicts_and_failed_assumptions_match_enumeration(self, seed):
+        rng = random.Random(seed)
+        seen = set()
+        for _ in range(12):
+            n_vars = rng.randint(2, 16)
+            masks, every = _truth_masks(n_vars)
+            s = SatSolver()
+            variables = make_vars(s, n_vars)
+            clauses = []
+
+            def add(count):
+                for _ in range(count):
+                    width = rng.randint(1, min(4, n_vars)) \
+                        if rng.random() < 0.1 else min(3, n_vars)
+                    clause = [v if rng.random() < 0.5 else -v
+                              for v in rng.sample(variables, width)]
+                    clauses.append(clause)
+                    s.add_clause(clause)
+
+            add(int(n_vars * rng.uniform(1.5, 4.5)))
+            for _ in range(6):
+                assumptions = [v if rng.random() < 0.5 else -v for v in
+                               rng.sample(variables, rng.randint(0, n_vars))]
+                result = s.solve(assumptions)
+                models = _models(clauses + [[a] for a in assumptions],
+                                 masks, every)
+                assert (result is SatResult.SAT) == (models != 0)
+                failed = s.failed_assumption
+                if result is SatResult.SAT:
+                    model = s.model()
+                    self._check_model(clauses, model)
+                    assert all(model[abs(a)] == (a > 0) for a in assumptions)
+                    seen.add("sat")
+                elif failed is None:
+                    # Refuted without blaming an assumption: the clauses
+                    # alone must be unsatisfiable.
+                    assert _models(clauses, masks, every) == 0
+                    seen.add("unsat")
+                else:
+                    # The clauses refute the failed assumption given the
+                    # ones applied before it.
+                    assert failed in assumptions
+                    prefix = assumptions[:assumptions.index(failed) + 1]
+                    assert _models(clauses + [[a] for a in prefix],
+                                   masks, every) == 0
+                    seen.add("failed")
+                add(rng.randint(0, 3))
+        assert seen == {"sat", "unsat", "failed"}
+
+    def _check_model(self, clauses, model):
+        for clause in clauses:
+            assert any((lit > 0) == model[abs(lit)] for lit in clause)
+
+    def test_truth_masks_enumerate_every_assignment(self):
+        masks, every = _truth_masks(3)
+        for a in range(8):
+            for v in (1, 2, 3):
+                assert bool(masks[v] >> a & 1) == bool(a >> (v - 1) & 1)
+        assert _models([[1], [-2]], masks, every) == \
+            sum(1 << a for a in range(8) if a & 1 and not a & 2)
+
+
 class TestResourceLimits:
     def test_conflict_budget_returns_unknown(self):
         # A hard pigeonhole instance with a tiny conflict budget.
