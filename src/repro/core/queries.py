@@ -32,7 +32,7 @@ counts only the questions that actually reached a solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.encode import FunctionEncoder
 from repro.obs.metrics import merge_counter_dataclass
@@ -131,7 +131,7 @@ class QueryContext:
             if engine.cache is not None:
                 from repro.engine.cache import canonical_query_key
 
-                key = canonical_query_key(goal)
+                key = canonical_query_key(goal, engine._key_memo)
                 verdict = engine.cache.lookup(
                     key, timeout=engine.timeout,
                     max_conflicts=engine.max_conflicts)
@@ -201,6 +201,9 @@ class QueryEngine:
         self.stats = QueryStats()
         self._shared_solver: Optional[Solver] = None
         self._scratch_stats = SolverStats()
+        # Per-term records of the cache key, keyed by the tids of the
+        # encoder's term manager (see repro.engine.cache).
+        self._key_memo: Dict[int, tuple] = {}
 
     # -- contexts ---------------------------------------------------------------
 

@@ -9,7 +9,7 @@ DAG — so that a verdict computed once can be replayed for every structurally
 identical query, across functions, across work units, and (via the JSONL
 persistence layer) across runs.
 
-Three design points matter for soundness:
+The design points that matter for soundness and speed:
 
 * **Alpha-renaming.**  Variable names embed the function name
   (``f.arg.len``, ``f.div.3``), so two instances of the same template never
@@ -25,6 +25,18 @@ Three design points matter for soundness:
 * **DAG-aware serialization.**  Terms are hash-consed DAGs with heavy
   sharing; the serializer emits each distinct node once and refers to it by
   index, so the canonical form stays linear in DAG size.
+* **Memoized, seed-free colours.**  Terms are immutable, so whatever a key
+  needs from one term alone — a blake2b colour of its name-free payload,
+  its child tids, its serialized prefix and its context-0 colour — is
+  computed once per tid into a memo that each query engine keeps for its
+  manager.  Only the two Weisfeiler-Lehman rounds depend on the query, and
+  they hash tuples of ints with built-in ``hash()``.  On 64-bit CPython
+  3.8+ that value does not depend on ``PYTHONHASHSEED`` (only str and bytes
+  hashing is salted), so keys agree across processes, workers and reruns.
+  Another interpreter, or a 32-bit build, may order some commutative
+  operands differently.  So may a cache file written before the colours
+  moved to ``hash()``.  Such entries simply miss: the key is the SHA-256
+  of the full serialization, so a hit is never wrong.
 * **Budget-qualified UNKNOWN.**  SAT and UNSAT verdicts are valid under any
   budget, but a timeout observed under a small budget says nothing about a
   larger one.  Each entry records the budget it was computed under, and an
@@ -62,137 +74,135 @@ VERDICT_UNKNOWN = "unknown"
 _VERDICTS = (VERDICT_SAT, VERDICT_UNSAT, VERDICT_UNKNOWN)
 
 
-def _color(payload: str) -> int:
-    """Deterministic 64-bit structural hash (process- and run-independent)."""
-    return int.from_bytes(
-        hashlib.blake2b(payload.encode("utf-8"), digest_size=8).digest(), "big")
+def _static_record(term: Term, memo: Dict[int, tuple]) -> tuple:
+    """``(tid, base, children, commutative, color0, prefix, name)`` of a term.
 
-
-_COLOR_MASK = (1 << 64) - 1
-
-
-def _canonical_colors(terms: Sequence[Term]):
-    """Name-free structural colors for every node of a query's term DAG.
-
-    ``TermManager`` normalizes commutative operands by *creation order*
-    (tid), so two structurally identical queries built through different
-    construction histories — ``a + b`` in one translation unit, ``b + a`` in
-    another — can disagree about operand order.  The colors computed here
-    depend only on structure, never on names or tids, and are used solely to
-    pick a canonical operand order for commutative nodes:
-
-    * an upward pass hashes each node from its operator, attributes, sort,
-      and child colors (commutative children as a sorted multiset), so
-      variables collapse to their sort;
-    * Weisfeiler-Lehman-style refinement rounds then alternate a downward
-      pass — each node absorbs the multiset of contexts it occurs in — with
-      a re-hash of the upward colors, which tells apart same-shaped subterms
-      (e.g. the ``x`` and ``y`` of ``(x + y) - x``, or the ``sext(x)`` and
-      ``sext(y)`` above them) by how the rest of the query uses them.
-
-    Color collisions are harmless for soundness — they only fall back to the
-    original operand order, they never change what the serialization says.
+    What a key needs to know about a term whatever the query: a blake2b
+    colour of its name-free payload, its child tids, whether operand order
+    is free, its context-0 colour, its serialized text before the operands
+    (after the alias, for a variable) and its variable name (else None).
     """
-    order: List[Term] = []
-    seen: set = set()
-    for root in terms:
-        stack = [(root, False)]
-        while stack:
-            term, ready = stack.pop()
-            if ready:
-                order.append(term)
-                continue
-            if term.tid in seen:
-                continue
-            seen.add(term.tid)
-            stack.append((term, True))
-            for arg in term.args:
-                stack.append((arg, False))
+    sort = "bool" if term.sort.is_bool() else f"bv{term.sort.width}"
+    name = None
+    if term.op is Op.VAR:
+        name = term.attrs[0]
+        payload, prefix = f"var::{sort}", f":{sort}"
+    elif term.op is Op.CONST:
+        payload = prefix = f"const:{term.attrs[0]}:{sort}"
+    else:
+        prefix = f"{term.op.value}:{','.join(str(a) for a in term.attrs)}:"
+        payload = prefix + sort
+    base = int.from_bytes(hashlib.blake2b(payload.encode("utf-8"),
+                                          digest_size=8).digest(), "big")
+    children = tuple(arg.tid for arg in term.args)
+    commutative = term.op in COMMUTATIVE_OPS and len(children) > 1
+    kids = [memo[child][4] for child in children]
+    if commutative:
+        kids.sort()
+    return (term.tid, base, children, commutative, hash((base, 0, *kids)),
+            prefix, name)
 
-    def structural(term: Term, colors: Dict[int, int], context: int) -> int:
-        sort = term.sort.kind if term.sort.is_bool() else f"bv{term.sort.width}"
-        if term.op is Op.VAR:
-            payload = f"var::{sort}"
-        elif term.op is Op.CONST:
-            payload = f"const:{term.attrs[0]}:{sort}"
-        else:
-            child = [colors[a.tid] for a in term.args]
-            if term.op in COMMUTATIVE_OPS:
-                child.sort()
-            attrs = ",".join(str(a) for a in term.attrs)
-            payload = f"{term.op.value}:{attrs}:{sort}:" \
-                      + ",".join(str(c) for c in child)
-        return _color(f"{payload}@{context}")
 
-    colors: Dict[int, int] = {}
-    for term in order:               # children before parents
-        colors[term.tid] = structural(term, colors, 0)
+def _canonical_orders(terms: Sequence[Term], memo: Dict[int, tuple]):
+    """Canonical operand order of each commutative node of a query's DAG.
 
-    for _ in range(2):               # two refinement rounds suffice in practice
-        context: Dict[int, int] = {}
+    The manager orders commutative operands by creation order, so ``a + b``
+    and ``b + a`` built in different histories would serialize apart.  The
+    order used instead sorts operands by a colour that depends on structure
+    only.  The upward colour hashes a node's base colour, context and child
+    colours (a sorted multiset if commutative); two Weisfeiler-Lehman rounds
+    each sum into every node the contexts it occurs in (root positions,
+    parent colours and operand roles) and re-hash upward, which tells apart
+    same-shaped subterms such as the ``x`` and ``y`` of ``(x + y) - x``.
+    Ascending tids are a post-order: operands are created first.  A colour
+    collision only keeps the manager's order; it cannot make a key unsound.
+    """
+    seen: Dict[int, Term] = {}
+    stack = list(terms)
+    while stack:
+        term = stack.pop()
+        if term.tid not in seen:
+            seen[term.tid] = term
+            stack.extend(term.args)
+    order = sorted(seen)
+    for tid in order:
+        if tid not in memo:
+            memo[tid] = _static_record(seen[tid], memo)
+    records = list(map(memo.__getitem__, order))
+    inner = [record for record in records if record[2]]
+    if not any(record[3] for record in inner):
+        return {}                    # no operand order to choose
+    colors = {record[0]: record[4] for record in records}
+    get = colors.__getitem__
+    leaves = [record[0] for record in records if not record[2]]
+    leaf_bases = [record[1] for record in records if not record[2]]
+    for _ in range(2):
+        context = dict.fromkeys(order, 0)
         for index, root in enumerate(terms):
-            context[root.tid] = (context.get(root.tid, 0)
-                                 + _color(f"root:{index}")) & _COLOR_MASK
-        for term in reversed(order):     # parents before children
-            mine = _color(f"{colors[term.tid]}@{context.get(term.tid, 0)}")
-            for position, arg in enumerate(term.args):
-                role = -1 if term.op in COMMUTATIVE_OPS else position
-                context[arg.tid] = (context.get(arg.tid, 0)
-                                    + _color(f"ctx:{mine}:{role}")) & _COLOR_MASK
-        for term in order:               # fold contexts back into the colors
-            colors[term.tid] = structural(term, colors,
-                                          context.get(term.tid, 0))
-    return colors
+            context[root.tid] += hash((index,))
+        for tid, _, children, commutative, _, _, _ in reversed(inner):
+            mine = hash((colors[tid], context[tid]))
+            if commutative:
+                role = hash((mine, -1))
+                for child in children:
+                    context[child] += role
+            else:
+                for position, child in enumerate(children):
+                    context[child] += hash((mine, position))
+        colors.update(zip(leaves, map(hash, zip(
+            leaf_bases, map(context.__getitem__, leaves)))))
+        for tid, base, children, commutative, _, _, _ in inner:
+            kids = map(get, children)
+            colors[tid] = hash((base, context[tid],
+                                *(sorted(kids) if commutative else kids)))
+    return {tid: sorted(children, key=get)
+            for tid, _, children, commutative, _, _, _ in inner if commutative}
 
 
-def canonical_query_key(terms: Sequence[Term]) -> str:
+def canonical_query_key(terms: Sequence[Term],
+                        memo: Optional[Dict[int, tuple]] = None) -> str:
     """Content address of a query: SHA-256 of its canonical serialization.
 
-    The serialization walks the term DAG bottom-up, assigns every distinct
-    node a sequential index, alpha-renames variables in first-visit order,
-    and lists the operands of commutative operators in a canonical,
-    structure-derived order (see :func:`_canonical_colors`).  Two queries
-    receive the same key iff their term DAGs are structurally identical up
-    to variable naming and commutative operand order — both of which
-    preserve semantics, so replaying a verdict across equal keys is sound.
+    The serialization lists every distinct DAG node once, bottom-up, with
+    variables alpha-renamed in first-visit order and commutative operands
+    in canonical order (:func:`_canonical_orders`).  Equal keys mean equal
+    text, i.e. the same query up to naming and operand order, so replaying
+    a verdict across them is sound.  ``memo`` holds :func:`_static_record`
+    by tid and must only see one manager's terms (a query engine keeps one
+    per encoder); ``None`` uses a fresh dict.
     """
-    final = _canonical_colors(terms)
-
-    def canonical_args(term: Term) -> List[Term]:
-        if term.op in COMMUTATIVE_OPS and len(term.args) > 1:
-            return sorted(term.args, key=lambda a: final[a.tid])
-        return list(term.args)
-
+    if memo is None:
+        memo = {}
+    canonical = _canonical_orders(terms, memo)
     rename: Dict[str, str] = {}
-    memo: Dict[int, str] = {}
+    index: Dict[int, str] = {}
     nodes: List[str] = []
     for root in terms:
-        stack = [(root, False)]
+        stack = [root.tid]
         while stack:
-            term, ready = stack.pop()
-            if term.tid in memo:
+            tid = stack.pop()
+            if tid < 0:                  # its operands are all emitted
+                tid = ~tid
+                nodes.append(memo[tid][5] + ",".join(
+                    [index[child] for child in canonical.get(tid) or
+                     memo[tid][2]]))
+            elif tid in index:
                 continue
-            if not ready:
-                stack.append((term, True))
-                # Reversed push so the canonically-first operand is visited
-                # (and therefore alpha-renamed) first.
-                for arg in reversed(canonical_args(term)):
-                    if arg.tid not in memo:
-                        stack.append((arg, False))
-                continue
-            sort = term.sort.kind if term.sort.is_bool() else f"bv{term.sort.width}"
-            if term.op is Op.VAR:
-                alias = rename.setdefault(term.attrs[0], f"v{len(rename)}")
-                node = f"var:{alias}:{sort}"
-            elif term.op is Op.CONST:
-                node = f"const:{term.attrs[0]}:{sort}"
             else:
-                args = ",".join(memo[a.tid] for a in canonical_args(term))
-                attrs = ",".join(str(a) for a in term.attrs)
-                node = f"{term.op.value}:{attrs}:{args}"
-            memo[term.tid] = f"n{len(nodes)}"
-            nodes.append(node)
-    roots = ",".join(memo[t.tid] for t in terms)
+                _, _, children, _, _, prefix, name = memo[tid]
+                if children:
+                    # Reversed push so the canonically-first operand is
+                    # visited (and therefore alpha-renamed) first.
+                    stack.append(~tid)
+                    stack.extend(reversed(canonical.get(tid) or children))
+                    continue
+                if name is None:
+                    nodes.append(prefix)
+                else:
+                    alias = rename.setdefault(name, f"v{len(rename)}")
+                    nodes.append(f"var:{alias}{prefix}")
+            index[tid] = f"n{len(nodes) - 1}"
+    roots = ",".join(index[t.tid] for t in terms)
     blob = ";".join(nodes) + "|" + roots
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -228,6 +238,20 @@ class CacheEntry:
                 (max_conflicts is None or self.max_conflicts < max_conflicts):
             return False
         return True
+
+    def supersedes(self, existing: Optional["CacheEntry"]) -> bool:
+        """True if this entry should replace ``existing`` for the same key.
+
+        The one merge rule of every write path (:meth:`SolverQueryCache.store`,
+        ``absorb`` and ``flush``): a definitive verdict is never downgraded,
+        and an ``unknown`` replaces another only under a covering budget.
+        """
+        if existing is None:
+            return True
+        if existing.verdict != VERDICT_UNKNOWN:
+            return False
+        return self.verdict != VERDICT_UNKNOWN or \
+            self.budget_covers(existing.timeout, existing.max_conflicts)
 
 
 @contextlib.contextmanager
@@ -312,13 +336,11 @@ class SolverQueryCache:
         """Record a verdict computed under the given budget."""
         if verdict not in _VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
-        existing = self._entries.get(key)
-        if existing is not None and existing.verdict != VERDICT_UNKNOWN:
-            # A definitive verdict never gets downgraded.
-            self._entries.move_to_end(key)
-            return
         entry = CacheEntry(key=key, verdict=verdict, timeout=timeout,
                            max_conflicts=max_conflicts, elapsed=elapsed)
+        if not entry.supersedes(self._entries.get(key)):
+            self._entries.move_to_end(key)
+            return
         self._entries[key] = entry
         self._entries.move_to_end(key)
         self._unflushed.append(entry)
@@ -342,11 +364,7 @@ class SolverQueryCache:
         added = 0
         for data in entries:
             entry = CacheEntry.from_dict(data)
-            existing = self._entries.get(entry.key)
-            if existing is not None and existing.verdict != VERDICT_UNKNOWN:
-                continue
-            if existing is not None and entry.verdict == VERDICT_UNKNOWN and \
-                    not entry.budget_covers(existing.timeout, existing.max_conflicts):
+            if not entry.supersedes(self._entries.get(entry.key)):
                 continue
             self._entries[entry.key] = entry
             self._entries.move_to_end(entry.key)
@@ -396,12 +414,11 @@ class SolverQueryCache:
         Concurrent-writer safe: the whole read-merge-rewrite runs under an
         exclusive advisory lock (``<path>.lock``), re-reads entries other
         processes published since this cache loaded, merges this cache's
-        unflushed entries on top (definitive verdicts win over ``unknown``;
-        an ``unknown`` only replaces another under a strictly larger
-        budget), writes the result to a same-directory temp file, and
-        atomically renames it into place.  Readers therefore always see a
-        complete file, and cooperating writers never lose each other's
-        entries.  Returns how many of this cache's entries were merged in.
+        unflushed entries on top by :meth:`CacheEntry.supersedes`, writes
+        the result to a same-directory temp file, and atomically renames it
+        into place.  Readers therefore always see a complete file, and
+        cooperating writers never lose each other's entries.  Returns how
+        many of this cache's entries were merged in.
         """
         target = path if path is not None else self.path
         if target is None or not self._unflushed:
@@ -428,14 +445,8 @@ class SolverQueryCache:
                             continue
                         merged[str(data["key"])] = CacheEntry.from_dict(data)
             for entry in self._unflushed:
-                existing = merged.get(entry.key)
-                if existing is not None:
-                    if existing.verdict != VERDICT_UNKNOWN:
-                        continue           # never downgrade a definitive one
-                    if entry.verdict == VERDICT_UNKNOWN and \
-                            not entry.budget_covers(existing.timeout,
-                                                    existing.max_conflicts):
-                        continue           # keep the larger-budget unknown
+                if not entry.supersedes(merged.get(entry.key)):
+                    continue
                 merged[entry.key] = entry
                 written += 1
             fd, temp_path = tempfile.mkstemp(

@@ -94,12 +94,3 @@ def back_edges(function: Function) -> Set[Tuple[int, int]]:
 def has_loops(function: Function) -> bool:
     """True if the function's CFG contains a cycle reachable from entry."""
     return bool(back_edges(function))
-
-
-def edge_list(function: Function) -> List[Tuple[BasicBlock, BasicBlock]]:
-    """All CFG edges as (predecessor, successor) pairs."""
-    edges = []
-    for block in function.blocks:
-        for successor in block.successors():
-            edges.append((block, successor))
-    return edges

@@ -34,14 +34,6 @@ class BasicBlock(Value):
         self.instructions.append(inst)
         return inst
 
-    def insert_before_terminator(self, inst: Instruction) -> Instruction:
-        inst.parent = self
-        if self.is_terminated():
-            self.instructions.insert(len(self.instructions) - 1, inst)
-        else:
-            self.instructions.append(inst)
-        return inst
-
     def phis(self) -> List[Phi]:
         return [i for i in self.instructions if isinstance(i, Phi)]
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.dominators import DominatorTree
-from repro.ir.function import BasicBlock, Function, Module
+from repro.ir.function import BasicBlock, Function
 from repro.ir.instructions import Alloca, Instruction, Load, Phi, Store
 from repro.ir.values import UndefValue, Value
 
@@ -177,11 +177,3 @@ def promote_memory_to_registers(function: Function) -> int:
                 isinstance(inst, Alloca) and id(inst) in alloca_ids)
         ]
     return len(allocas)
-
-
-def promote_module(module: Module) -> int:
-    """Run mem2reg over every defined function; returns total promotions."""
-    total = 0
-    for function in module.defined_functions():
-        total += promote_memory_to_registers(function)
-    return total

@@ -306,19 +306,6 @@ class Solver:
             out.extend(frame.terms)
         return out
 
-    def reset(self) -> None:
-        """Drop every assertion, frame, and (incremental) solver state."""
-        self._frames = [_Frame()]
-        self._last_model = None
-        self._failed_assumptions = []
-        self._sat = None
-        self._cnf = None
-        self._blaster = None
-        if self._portfolio is not None:
-            self._portfolio.close()
-        self._portfolio = None
-        self._simplified = {}
-
     # -- checking ----------------------------------------------------------------
 
     def check(

@@ -183,6 +183,22 @@ def test_cache_never_downgrades_definitive_verdicts():
     assert cache.lookup("k") == VERDICT_UNSAT
 
 
+def test_cache_store_keeps_the_larger_budget_unknown():
+    # Regression: store() used to replace any unknown, so a smaller-budget
+    # timeout erased the larger one that absorb() and flush() would keep.
+    cache = SolverQueryCache()
+    cache.store("k", VERDICT_UNKNOWN, timeout=10.0)
+    cache.store("k", VERDICT_UNKNOWN, timeout=1.0)
+    assert cache.lookup("k", timeout=5.0) == VERDICT_UNKNOWN
+    assert cache.drain_new_entries() == [
+        {"key": "k", "verdict": VERDICT_UNKNOWN, "timeout": 10.0,
+         "max_conflicts": None, "elapsed": 0.0}]
+    cache.store("k", VERDICT_UNKNOWN, timeout=20.0)   # a covering budget
+    assert cache.lookup("k", timeout=15.0) == VERDICT_UNKNOWN
+    cache.store("k", VERDICT_SAT, timeout=0.1)        # definitive wins
+    assert cache.lookup("k", timeout=60.0) == VERDICT_SAT
+
+
 def test_cache_lru_eviction():
     cache = SolverQueryCache(capacity=2)
     cache.store("a", VERDICT_SAT)
