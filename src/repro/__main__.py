@@ -107,11 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="route solver queries through one named SAT "
                              "backend: builtin, pysat, or dimacs "
                              "(default: the direct in-process path)")
-    parser.add_argument("--portfolio", metavar="NAMES", default=None,
-                        help="race a comma-separated list of backends per "
-                             "query and take the first definitive answer "
-                             "(e.g. builtin,pysat; unavailable members are "
-                             "dropped)")
     parser.add_argument("--trace", metavar="OUT.json", default=None,
                         help="record hierarchical spans for every stage and "
                              "solver query and write a Chrome trace-event "
@@ -629,12 +624,6 @@ def check_main(argv: Optional[List[str]] = None) -> int:
             return 2
         filename = args.source
 
-    portfolio = tuple(name.strip() for name in args.portfolio.split(",")
-                      if name.strip()) if args.portfolio else ()
-    if args.backend and portfolio:
-        print("error: --backend and --portfolio are mutually exclusive",
-              file=sys.stderr)
-        return 2
     config = CheckerConfig(
         solver_timeout=args.timeout,
         max_conflicts=args.max_conflicts,
@@ -643,7 +632,6 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         witness_seed=args.seed,
         repair=args.repair,
         backend=args.backend,
-        portfolio=portfolio,
         trace=args.trace is not None,
     )
     if args.show_config:

@@ -35,9 +35,6 @@ class CompilerProfile:
                 active.add(capability)
         return active
 
-    def lowest_level_for(self, capability: Capability) -> Optional[int]:
-        return self.capability_levels.get(capability)
-
 
 def _profile(name: str, vendor: str, year: int, open_source: bool,
              pointer: Optional[int], null: Optional[int], signed: Optional[int],

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.core.classify import classify_all
 from repro.core.elimination import EliminationFinding, run_elimination
@@ -106,10 +106,6 @@ class CheckerConfig:
     #: "dimacs"); None keeps the direct in-process CDCL path
     #: (docs/SOLVER.md).
     backend: Optional[str] = None
-    #: Race several named backends per query and take the first definitive
-    #: answer (ties break by order; unavailable members are dropped).
-    #: Mutually exclusive with ``backend``.
-    portfolio: Sequence[str] = ()
     #: Record hierarchical spans + metrics for every stage and solver query
     #: (repro.obs; CLI: ``--trace OUT.json``).  Span identities are
     #: deterministic — see docs/OBSERVABILITY.md.
@@ -188,8 +184,7 @@ class StackChecker:
                                  max_conflicts=self.config.max_conflicts,
                                  cache=self.query_cache,
                                  incremental=self.config.incremental,
-                                 backend=self.config.backend,
-                                 portfolio=self.config.portfolio)
+                                 backend=self.config.backend)
         result = FunctionReport(function=function.name)
 
         elimination_findings: List[EliminationFinding] = []
@@ -295,7 +290,6 @@ class StackChecker:
         result.solver_time = solver_stats.total_time
         result.oracle_sat = solver_stats.oracle_sat
         result.oracle_unsat = solver_stats.oracle_unsat
-        result.backend_wins = dict(solver_stats.backend_wins)
         result.analysis_time = time.monotonic() - started
         return result
 

@@ -152,8 +152,7 @@ class QueryContext:
             else:
                 solver = Solver(engine.encoder.manager, timeout=engine.timeout,
                                 max_conflicts=engine.max_conflicts,
-                                backend=engine.backend,
-                                portfolio=engine.portfolio)
+                                backend=engine.backend)
                 for term in goal:
                     solver.add(term)
                 result = solver.check()
@@ -166,9 +165,7 @@ class QueryContext:
                 engine.cache.store(key, verdict, timeout=engine.timeout,
                                    max_conflicts=engine.max_conflicts,
                                    elapsed=elapsed)
-            note_query(key, verdict, elapsed,
-                       engine.backend or (",".join(engine.portfolio)
-                                          if engine.portfolio else "builtin"))
+            note_query(key, verdict, elapsed, engine.backend or "builtin")
             query_span.set_arg("verdict", verdict)
             return engine._record(verdict)
 
@@ -189,15 +186,13 @@ class QueryEngine:
                  max_conflicts: Optional[int] = 50_000,
                  cache: Optional["SolverQueryCache"] = None,
                  incremental: bool = True,
-                 backend: Optional[str] = None,
-                 portfolio: Sequence[str] = ()) -> None:
+                 backend: Optional[str] = None) -> None:
         self.encoder = encoder
         self.timeout = timeout
         self.max_conflicts = max_conflicts
         self.cache = cache
         self.incremental = incremental
         self.backend = backend
-        self.portfolio = tuple(portfolio)
         self.stats = QueryStats()
         self._shared_solver: Optional[Solver] = None
         self._scratch_stats = SolverStats()
@@ -234,8 +229,7 @@ class QueryEngine:
                                          timeout=self.timeout,
                                          max_conflicts=self.max_conflicts,
                                          incremental=True,
-                                         backend=self.backend,
-                                         portfolio=self.portfolio)
+                                         backend=self.backend)
         return self._shared_solver
 
     @property

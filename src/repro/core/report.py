@@ -132,8 +132,6 @@ class FunctionReport:
     solver_time: float = 0.0                # seconds spent inside the solver
     oracle_sat: int = 0                     # queries the oracle pre-pass decided SAT
     oracle_unsat: int = 0                   # queries constant folding decided UNSAT
-    #: Definitive answers credited per backend name (backend mode only).
-    backend_wins: Dict[str, int] = field(default_factory=dict)
     # Stage-5 witness validation counters (repro.exec.witness / docs/EXEC.md):
     witnesses_confirmed: int = 0            # replay trips the reported UB
     witnesses_unconfirmed: int = 0          # probable false positive
@@ -219,14 +217,6 @@ class BugReport:
         return sum(f.oracle_unsat for f in self.functions)
 
     @property
-    def backend_wins(self) -> Dict[str, int]:
-        wins: Dict[str, int] = {}
-        for report in self.functions:
-            for name, count in report.backend_wins.items():
-                wins[name] = wins.get(name, 0) + count
-        return wins
-
-    @property
     def analysis_time(self) -> float:
         return sum(f.analysis_time for f in self.functions)
 
@@ -284,8 +274,8 @@ class BugReport:
 
     def metrics(self) -> "MetricsRegistry":
         """Every per-function counter lifted into one unified metrics
-        registry (``report.<field>`` counters, ``report.backend_wins.<name>``
-        labeled counters).  :meth:`describe` reads through this."""
+        registry (``report.<field>`` counters).  :meth:`describe` reads
+        through this."""
         from repro.obs.metrics import MetricsRegistry, absorb_dataclass
 
         registry = MetricsRegistry()
@@ -325,13 +315,6 @@ class BugReport:
                      f"{int(count('report.restarts'))} restarts, "
                      f"{int(count('report.blasted_clauses'))} bit-blasted clauses, "
                      f"{count('report.solver_time'):.2f}s in the solver")
-        backend_wins = {name[len("report.backend_wins."):]: int(value)
-                        for name, value in registry.counters.items()
-                        if name.startswith("report.backend_wins.")}
-        if backend_wins:
-            wins = ", ".join(f"{name}={wins}" for name, wins
-                             in sorted(backend_wins.items()))
-            lines.append(f"backend wins: {wins}")
         witnesses_validated = (count("report.witnesses_confirmed")
                                + count("report.witnesses_unconfirmed")
                                + count("report.witnesses_inconclusive"))

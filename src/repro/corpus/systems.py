@@ -18,7 +18,7 @@ feeds to the checker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.ubconditions import UBKind
 from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS, Snippet, snippets_for_kind
@@ -235,7 +235,3 @@ def generate_system_corpus(
         filename = f"{slug}/{snippet.name}_{index}.c"
         corpus.append((filename, snippet.render(suffix), None))
     return corpus
-
-
-def total_seeded_bugs(profiles: Sequence[SystemProfile] = tuple(SYSTEMS)) -> int:
-    return sum(p.total_bugs for p in profiles)

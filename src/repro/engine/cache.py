@@ -470,7 +470,3 @@ class SolverQueryCache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def stats_dict(self) -> Dict[str, object]:
-        return {"entries": len(self._entries), "hits": self.hits,
-                "misses": self.misses, "hit_rate": round(self.hit_rate, 4)}

@@ -89,8 +89,6 @@ class RunStats:
     solver_time: float = 0.0
     oracle_sat: int = 0                  # queries the oracle pre-pass decided SAT
     oracle_unsat: int = 0                # queries constant folding decided UNSAT
-    #: Definitive answers credited per backend name (backend mode only).
-    backend_wins: Dict[str, int] = field(default_factory=dict)
     # Stage-5 witness validation totals (repro.exec.witness / docs/EXEC.md):
     witnesses_confirmed: int = 0
     witnesses_unconfirmed: int = 0
@@ -117,18 +115,17 @@ class RunStats:
         """Accumulate another run's counters into this one.
 
         Reflection-based (:func:`repro.obs.metrics.merge_counter_dataclass`):
-        every numeric field adds, dict fields (``backend_wins``) add per key,
-        and ``workers`` keeps the maximum fan-out seen — so a counter added
-        to this dataclass later is merged automatically.  Batched drivers
-        (the fuzz campaign checks its corpus one generated batch at a time)
-        use this to report campaign-wide totals.
+        every numeric field adds and ``workers`` keeps the maximum fan-out
+        seen — so a counter added to this dataclass later is merged
+        automatically.  Batched drivers (the fuzz campaign checks its corpus
+        one generated batch at a time) use this to report campaign-wide
+        totals.
         """
         merge_counter_dataclass(self, other, maxed=("workers",))
 
     def registry(self) -> MetricsRegistry:
         """This run's counters lifted into the unified metrics registry
-        (``run.<field>`` counters, ``run.workers`` gauge,
-        ``run.backend_wins.<name>`` labeled counters)."""
+        (``run.<field>`` counters, ``run.workers`` gauge)."""
         registry = MetricsRegistry()
         return absorb_dataclass(registry, "run", self, gauges=("workers",))
 
@@ -136,9 +133,6 @@ class RunStats:
         """The legacy nested summary schema, read through the registry."""
         reg = self.registry()
         count = reg.counter
-        wins = {name[len("run.backend_wins."):]: int(value)
-                for name, value in reg.counters.items()
-                if name.startswith("run.backend_wins.")}
         return {
             "units": int(count("run.units")),
             "failed_units": int(count("run.failed_units")),
@@ -160,7 +154,6 @@ class RunStats:
                 "solver_time": round(count("run.solver_time"), 6),
                 "oracle_sat": int(count("run.oracle_sat")),
                 "oracle_unsat": int(count("run.oracle_unsat")),
-                "backend_wins": dict(sorted(wins.items())),
             },
             "witnesses": {
                 "confirmed": int(count("run.witnesses_confirmed")),
@@ -220,8 +213,6 @@ def aggregate_results(results: Sequence[UnitResult], wall_clock: float,
         stats.solver_time += report.solver_time
         stats.oracle_sat += report.oracle_sat
         stats.oracle_unsat += report.oracle_unsat
-        for name, wins in report.backend_wins.items():
-            stats.backend_wins[name] = stats.backend_wins.get(name, 0) + wins
         stats.witnesses_confirmed += report.witnesses_confirmed
         stats.witnesses_unconfirmed += report.witnesses_unconfirmed
         stats.witnesses_inconclusive += report.witnesses_inconclusive

@@ -98,7 +98,6 @@ def report_to_dict(name: str, report: BugReport, attempts: int = 1,
                 "solver_time": round(fr.solver_time, 6),
                 "oracle_sat": fr.oracle_sat,
                 "oracle_unsat": fr.oracle_unsat,
-                "backend_wins": dict(sorted(fr.backend_wins.items())),
                 "analysis_time": round(fr.analysis_time, 6),
                 "witnesses": {
                     "confirmed": fr.witnesses_confirmed,
@@ -132,7 +131,6 @@ def report_to_dict(name: str, report: BugReport, attempts: int = 1,
         "solver_time": round(report.solver_time, 6),
         "oracle_sat": report.oracle_sat,
         "oracle_unsat": report.oracle_unsat,
-        "backend_wins": dict(sorted(report.backend_wins.items())),
         "analysis_time": round(report.analysis_time, 6),
         "witnesses_confirmed": report.witnesses_confirmed,
         "witnesses_unconfirmed": report.witnesses_unconfirmed,

@@ -97,10 +97,6 @@ class ExecResult:
     def ub_kinds(self) -> Set:
         return {event.kind for event in self.events}
 
-    @property
-    def first_event(self) -> Optional[UBEvent]:
-        return self.events[0] if self.events else None
-
     def observable(self) -> Tuple[str, Optional[int]]:
         """The externally visible outcome, for divergence comparison."""
         return (self.status.value, self.value)

@@ -62,16 +62,6 @@ class SnippetAnalyzer:
         self._cache[snippet.name] = analysis
         return analysis
 
-    def analyze_source(self, name: str, source: str) -> SnippetAnalysis:
-        cached = self._cache.get(name)
-        if cached is not None:
-            return cached
-        report = check_source(source, filename=f"{name}.c", config=self.config,
-                              cache=self.query_cache)
-        analysis = self._summarise(name, report)
-        self._cache[name] = analysis
-        return analysis
-
     def prewarm(self, snippets: Iterable[Snippet], workers: int = 0) -> int:
         """Analyze many templates through the engine in one fan-out.
 
@@ -140,9 +130,3 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[object]],
                   for i in range(columns)]
         lines.append("  ".join(padded))
     return "\n".join(lines)
-
-
-def fast_checker_config() -> CheckerConfig:
-    """A configuration tuned for corpus-scale experiments."""
-    return CheckerConfig(solver_timeout=5.0, max_conflicts=30_000,
-                         minimize_ub_sets=True)

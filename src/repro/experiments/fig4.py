@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.compilers.survey import (
-    PAPER_FIGURE4,
     SurveyResult,
     run_survey,
     survey_matrix,
@@ -41,8 +40,3 @@ def run_figure4() -> Figure4Result:
     """Run the compiler survey and compare every cell against the paper."""
     survey = run_survey()
     return Figure4Result(survey=survey, mismatches=survey.mismatches())
-
-
-def paper_cell_count() -> int:
-    """Total number of cells in the paper's matrix (for reporting coverage)."""
-    return sum(len(row) for row in PAPER_FIGURE4.values())

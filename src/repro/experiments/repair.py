@@ -70,11 +70,6 @@ class RepairExperimentResult:
             return 0.0
         return self.repaired / self.attempted
 
-    @property
-    def repaired_diagnostics(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics
-                if d.repair is not None and d.repair.repaired]
-
     def render(self) -> str:
         headers = ["snippet", "diagnostics", "repaired", "rejected",
                    "no template", "templates"]

@@ -23,9 +23,6 @@ class CType:
     def is_array(self) -> bool:
         return isinstance(self, CArray)
 
-    def is_struct(self) -> bool:
-        return isinstance(self, CStruct)
-
     def is_void(self) -> bool:
         return isinstance(self, CVoid)
 

@@ -33,7 +33,7 @@ from repro.ir.instructions import (
     Unreachable,
 )
 from repro.ir.source import Origin, SourceLocation, USER_ORIGIN
-from repro.ir.types import IntType, IRType, PointerType
+from repro.ir.types import IntType, IRType
 from repro.ir.values import Constant, Value
 
 
@@ -73,12 +73,6 @@ class IRBuilder:
 
     def const_int(self, ty: IntType, value: int) -> Constant:
         return Constant(ty, value)
-
-    def const_null(self, ty: PointerType) -> Constant:
-        return Constant(ty, 0)
-
-    def const_bool(self, value: bool) -> Constant:
-        return Constant(IntType(1, signed=False), int(value))
 
     # -- arithmetic ------------------------------------------------------------------
 
@@ -132,12 +126,6 @@ class IRBuilder:
 
     def icmp(self, pred: ICmpPred, lhs: Value, rhs: Value, name: str = "") -> Value:
         return self._emit(ICmp(pred, lhs, rhs, name, **self._meta()))
-
-    def icmp_eq(self, lhs: Value, rhs: Value, name: str = "") -> Value:
-        return self.icmp(ICmpPred.EQ, lhs, rhs, name)
-
-    def icmp_ne(self, lhs: Value, rhs: Value, name: str = "") -> Value:
-        return self.icmp(ICmpPred.NE, lhs, rhs, name)
 
     def select(self, cond: Value, on_true: Value, on_false: Value, name: str = "") -> Value:
         return self._emit(Select(cond, on_true, on_false, name, **self._meta()))

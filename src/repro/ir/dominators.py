@@ -117,8 +117,3 @@ class DominatorTree:
             else:
                 result.extend(dom_block.instructions)
         return result
-
-
-def compute_dominators(function: Function) -> DominatorTree:
-    """Convenience wrapper returning a fresh :class:`DominatorTree`."""
-    return DominatorTree(function)

@@ -37,9 +37,6 @@ class BasicBlock(Value):
     def phis(self) -> List[Phi]:
         return [i for i in self.instructions if isinstance(i, Phi)]
 
-    def non_phi_instructions(self) -> List[Instruction]:
-        return [i for i in self.instructions if not isinstance(i, Phi)]
-
     @property
     def terminator(self) -> Optional[Instruction]:
         if self.instructions and self.instructions[-1].is_terminator():

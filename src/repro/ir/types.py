@@ -78,9 +78,6 @@ class IntType(IRType):
     def as_unsigned(self) -> "IntType":
         return IntType(self.width, signed=False)
 
-    def as_signed(self) -> "IntType":
-        return IntType(self.width, signed=True)
-
     def __repr__(self) -> str:
         prefix = "i" if self.signed else "u"
         return f"{prefix}{self.width}"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.ir.types import IRType, IntType, PointerType
+from repro.ir.types import IRType, PointerType
 
 
 class Value:
@@ -18,12 +18,6 @@ class Value:
         self.type = ty
         self.name = name
         self.uses: List["Value"] = []
-
-    def is_constant(self) -> bool:
-        return isinstance(self, Constant)
-
-    def is_null_pointer(self) -> bool:
-        return isinstance(self, Constant) and self.type.is_pointer() and self.value == 0
 
     def short_name(self) -> str:
         return f"%{self.name}" if self.name else "%<anon>"
@@ -44,10 +38,6 @@ class Constant(Value):
         if not (ty.is_integer() or ty.is_pointer()):
             raise TypeError(f"constants must be integers or pointers, got {ty!r}")
         self.value = int(value)
-
-    @staticmethod
-    def int_of(ty: IntType, value: int) -> "Constant":
-        return Constant(ty, value)
 
     @staticmethod
     def null(ty: PointerType) -> "Constant":

@@ -205,8 +205,7 @@ def merge_counter_dataclass(target: Any, other: Any,
     """Merge every field of a stats dataclass into ``target`` by reflection.
 
     Numeric fields add (``maxed`` names take the max instead — e.g.
-    ``workers``); dict fields add per-key (per-backend race wins); list
-    fields concatenate.  Because the field list comes from
+    ``workers``) and booleans or together.  Because the field list comes from
     ``dataclasses.fields``, a counter added to the dataclass tomorrow is
     merged automatically — forgetting it is no longer possible.
     """
@@ -223,16 +222,8 @@ def merge_counter_dataclass(target: Any, other: Any,
                 setattr(target, name, max(mine, theirs))
             else:
                 setattr(target, name, mine + theirs)
-        elif isinstance(mine, dict) and isinstance(theirs, dict):
-            for key, value in theirs.items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    mine[key] = mine.get(key, 0) + value
-                else:
-                    mine.setdefault(key, value)
-        elif isinstance(mine, list) and isinstance(theirs, list):
-            mine.extend(theirs)
-        # Non-numeric scalars (strings, None, nested objects) keep the
-        # target's value; merge() semantics only cover accounting fields.
+        # Non-numeric fields (strings, None, containers) keep the target's
+        # value; merge() semantics only cover accounting fields.
     return target
 
 
@@ -241,8 +232,7 @@ def absorb_dataclass(registry: MetricsRegistry, prefix: str, stats: Any,
     """Lift a stats dataclass into ``registry`` under ``prefix.<field>``.
 
     Numeric fields become counters (or gauges when named in ``gauges``);
-    dict-of-number fields become labeled counters
-    (``prefix.field.<key>``); everything else is skipped.
+    everything else is skipped.
     """
     if not dataclasses.is_dataclass(stats):
         raise TypeError(f"not a dataclass: {stats!r}")
@@ -256,10 +246,6 @@ def absorb_dataclass(registry: MetricsRegistry, prefix: str, stats: Any,
                 registry.set_gauge(name, value)
             else:
                 registry.inc(name, value)
-        elif isinstance(value, dict):
-            for key, item in value.items():
-                if isinstance(item, (int, float)) and not isinstance(item, bool):
-                    registry.inc(f"{name}.{key}", item)
     return registry
 
 

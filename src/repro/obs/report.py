@@ -18,7 +18,7 @@ __all__ = ["aggregate_spans", "time_split", "render_profile"]
 # Figure-16-style buckets: a span name's first matching prefix decides its
 # bucket; unmatched spans fall into "other".
 _SPLIT_PREFIXES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("solver", ("solver.query", "solver.race")),
+    ("solver", ("solver.query",)),
     ("frontend", ("stage1.", "unit:compile")),
     ("encode", ("stage2.",)),
     ("interp", ("stage5.", "witness.replay", "exec.")),

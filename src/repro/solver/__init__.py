@@ -17,9 +17,8 @@ vectors (QF_BV).  This package provides a self-contained replacement:
 * :mod:`repro.solver.solver` — the :class:`Solver` facade with assertion
   stacks, models and per-query timeouts.
 * :mod:`repro.solver.backends` — pluggable SAT backends behind the facade
-  (in-process CDCL, python-sat, external DIMACS binaries), the oracle
-  pre-answer chain, and the portfolio racer
-  (``Solver(backend=...)`` / ``Solver(portfolio=...)``).
+  (in-process CDCL, python-sat, external DIMACS binaries; one per solver,
+  ``Solver(backend=...)``) and the oracle pre-answer chain.
 
 The public API mirrors the small subset of an SMT solver API that STACK
 needs: build terms via :class:`TermManager`, assert them on a
@@ -46,7 +45,6 @@ from repro.solver.terms import (
 from repro.solver.sat import SatResult, SatSolver
 from repro.solver.backends import (
     BACKENDS,
-    PortfolioSolver,
     SolverBackend,
     available_backends,
     create_backend,
@@ -66,7 +64,6 @@ __all__ = [
     "CheckResult",
     "Model",
     "Op",
-    "PortfolioSolver",
     "SatResult",
     "SatSolver",
     "Solver",

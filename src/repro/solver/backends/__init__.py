@@ -1,16 +1,16 @@
-"""Pluggable SAT backends and the portfolio racer.
+"""Pluggable SAT backends.
 
 The registry maps backend names to classes; :func:`available_backends`
 filters it down to what the current environment can actually run (the
 ``pysat`` entry needs the python-sat package, ``dimacs`` needs a solver
 command in ``REPRO_SAT_BINARY``).  The :class:`~repro.solver.solver.Solver`
-facade resolves names through :func:`create_backend` and races multiple
-backends with :class:`PortfolioSolver`.
+facade resolves a ``backend=`` name through :func:`backend_class` and
+hands each bit-blasted CNF to one instance of it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+from typing import Dict, List, Type
 
 from repro.solver.backends.base import BackendAnswer, SolverBackend
 from repro.solver.backends.builtin import BuiltinBackend
@@ -18,8 +18,6 @@ from repro.solver.backends.dimacs import SAT_BINARY_ENV, DimacsBackend
 from repro.solver.backends.oracle import (GUESS_PATTERNS, MAX_GUESS_VARIABLES,
                                           OracleAnswer, constant_answer,
                                           evaluation_answer, preanswer)
-from repro.solver.backends.portfolio import (BackendDisagreement,
-                                             PortfolioAnswer, PortfolioSolver)
 from repro.solver.backends.pysat_backend import PysatBackend
 
 #: Name → class registry, in default preference order.
@@ -35,8 +33,8 @@ def available_backends() -> List[str]:
     return [name for name, cls in BACKENDS.items() if cls.available()]
 
 
-def create_backend(name: str, **kwargs) -> SolverBackend:
-    """Instantiate a backend by registry name.
+def backend_class(name: str) -> Type[SolverBackend]:
+    """The registry class for ``name``, checked to run here.
 
     Raises :class:`ValueError` for names not in the registry and
     :class:`RuntimeError` when the named backend exists but cannot run
@@ -47,50 +45,33 @@ def create_backend(name: str, **kwargs) -> SolverBackend:
     except KeyError:
         known = ", ".join(sorted(BACKENDS))
         raise ValueError(f"unknown solver backend {name!r} (known: {known})")
-    return cls(**kwargs)
+    if not cls.available():
+        raise RuntimeError(f"solver backend {name!r} is not available "
+                           "in this environment")
+    return cls
 
 
-def resolve_portfolio(names: Sequence[str],
-                      strict: bool = False) -> List[str]:
-    """Filter a portfolio spec down to backends that can run here.
-
-    Unavailable members are dropped silently (``strict=False``, the
-    portfolio policy: racing degrades gracefully); with ``strict=True`` an
-    unavailable name raises, which is the single-``backend=`` policy.
-    Falls back to ``["builtin"]`` when nothing in the spec is available.
-    """
-    resolved: List[str] = []
-    for name in names:
-        if name not in BACKENDS:
-            known = ", ".join(sorted(BACKENDS))
-            raise ValueError(
-                f"unknown solver backend {name!r} (known: {known})")
-        if BACKENDS[name].available():
-            resolved.append(name)
-        elif strict:
-            raise RuntimeError(f"solver backend {name!r} is not available "
-                               "in this environment")
-    return resolved or ["builtin"]
+def create_backend(name: str, **kwargs) -> SolverBackend:
+    """Instantiate a backend by registry name; raises like
+    :func:`backend_class` for an unknown or unavailable name."""
+    return backend_class(name)(**kwargs)
 
 
 __all__ = [
     "BACKENDS",
     "BackendAnswer",
-    "BackendDisagreement",
     "BuiltinBackend",
     "DimacsBackend",
     "GUESS_PATTERNS",
     "MAX_GUESS_VARIABLES",
     "OracleAnswer",
-    "PortfolioAnswer",
-    "PortfolioSolver",
     "PysatBackend",
     "SAT_BINARY_ENV",
     "SolverBackend",
     "available_backends",
+    "backend_class",
     "constant_answer",
     "create_backend",
     "evaluation_answer",
     "preanswer",
-    "resolve_portfolio",
 ]

@@ -9,11 +9,14 @@ different engines fit behind it — the in-process CDCL solver, CaDiCaL via
 
 * **clauses** arrive incrementally via :meth:`add_clauses` (append-only; the
   facade never retracts — retired assertions are guarded by activation
-  literals exactly as in the builtin incremental mode),
+  literals exactly as in the builtin incremental mode).  A solver holds one
+  backend and feeds it each recorded clause exactly once, from a cursor,
 * **assume** — :meth:`solve` takes per-call assumption literals,
 * **budget** — per-call ``max_conflicts`` and wall-clock ``timeout``; a
   backend that cannot honor a budget kind treats it as unlimited (the
-  answer is still sound, just possibly more expensive),
+  answer is still sound, just possibly more expensive).  There is no
+  cancellation hook: a call returns when it has an answer or its budget is
+  spent,
 * **stats** — every answer carries a plain-int counter dict so per-backend
   work lands in :class:`~repro.solver.solver.SolverStats` and the JSONL
   sink.
@@ -83,13 +86,6 @@ class SolverBackend(abc.ABC):
               max_conflicts: Optional[int] = None,
               timeout: Optional[float] = None) -> BackendAnswer:
         """Decide the clause database under per-call assumptions/budgets."""
-
-    def interrupt(self) -> None:
-        """Best-effort cancellation of an in-flight :meth:`solve`.
-
-        Called from another thread when a portfolio race has a definitive
-        answer; a backend that cannot be interrupted simply finishes.
-        """
 
     def close(self) -> None:
         """Release external resources (processes, native solver handles)."""

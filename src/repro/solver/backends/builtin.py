@@ -4,7 +4,7 @@ Two construction modes:
 
 * ``BuiltinBackend()`` owns a fresh :class:`~repro.solver.sat.SatSolver`
   and consumes the clause stream via :meth:`add_clauses` like any other
-  backend (how portfolio tests and standalone races use it).
+  backend (how a standalone backend, e.g. from ``create_backend``, runs).
 * ``BuiltinBackend(sat=solver)`` wraps an *externally fed* solver — the
   facade's own SAT instance, which already receives every clause directly
   through its :class:`~repro.solver.cnf.CnfBuilder`.  ``add_clauses`` is a
@@ -13,7 +13,6 @@ Two construction modes:
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Sequence
 
 from repro.solver.backends.base import BackendAnswer, SolverBackend
@@ -28,7 +27,6 @@ class BuiltinBackend(SolverBackend):
     def __init__(self, sat: Optional[SatSolver] = None) -> None:
         self._external = sat is not None
         self.sat = sat if sat is not None else SatSolver()
-        self._stop = threading.Event()
 
     def ensure_vars(self, num_vars: int) -> None:
         while self.sat.num_vars < num_vars:
@@ -43,13 +41,11 @@ class BuiltinBackend(SolverBackend):
     def solve(self, assumptions: Sequence[int] = (),
               max_conflicts: Optional[int] = None,
               timeout: Optional[float] = None) -> BackendAnswer:
-        self._stop.clear()
         sat = self.sat
         conflicts0, decisions0 = sat.conflicts, sat.decisions
         propagations0, restarts0 = sat.propagations, sat.restarts
         result = sat.solve(assumptions=list(assumptions),
-                           max_conflicts=max_conflicts, timeout=timeout,
-                           stop=self._stop)
+                           max_conflicts=max_conflicts, timeout=timeout)
         stats = {
             "conflicts": sat.conflicts - conflicts0,
             "decisions": sat.decisions - decisions0,
@@ -62,6 +58,3 @@ class BuiltinBackend(SolverBackend):
             failed = [sat.failed_assumption]
         return BackendAnswer(result=result, model=model, failed=failed,
                              stats=stats)
-
-    def interrupt(self) -> None:
-        self._stop.set()

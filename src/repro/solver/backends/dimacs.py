@@ -11,8 +11,9 @@ the ``s SATISFIABLE`` / ``s UNSATISFIABLE`` / ``s UNKNOWN`` status line
 
 The backend is stateless across calls from the binary's point of view —
 assumptions cannot be retracted any other way through a pipe — so it pays
-a full re-solve per query.  That is the price of total pluggability; the
-portfolio layer makes it a racing participant rather than a bottleneck.
+a full re-solve and a process start per query.  That is the price of total
+pluggability: it is an escape hatch to a real solver binary, not a fast
+path.
 ``max_conflicts`` cannot be forwarded portably and is ignored; ``timeout``
 is enforced by killing the process (answer: UNKNOWN).
 """
@@ -23,7 +24,6 @@ import os
 import shlex
 import subprocess
 import tempfile
-import threading
 from typing import Dict, List, Optional, Sequence
 
 from repro.solver.backends.base import BackendAnswer, SolverBackend
@@ -71,8 +71,6 @@ class DimacsBackend(SolverBackend):
         self.command = shlex.split(command)
         self._clauses: List[List[int]] = []
         self._num_vars = 0
-        self._lock = threading.Lock()
-        self._process: Optional[subprocess.Popen] = None
 
     @classmethod
     def available(cls) -> bool:
@@ -101,12 +99,9 @@ class DimacsBackend(SolverBackend):
                     "w", suffix=".cnf", delete=False, encoding="utf-8") as cnf:
                 cnf.write(text)
                 path = cnf.name
-            with self._lock:
-                self._process = subprocess.Popen(
-                    self.command + [path],
-                    stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                    text=True)
-            process = self._process
+            process = subprocess.Popen(
+                self.command + [path],
+                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
             try:
                 stdout, _ = process.communicate(timeout=timeout)
             except subprocess.TimeoutExpired:
@@ -118,8 +113,6 @@ class DimacsBackend(SolverBackend):
             raise RuntimeError(
                 f"dimacs backend failed to run {self.command[0]!r}: {exc}")
         finally:
-            with self._lock:
-                self._process = None
             if path is not None:
                 try:
                     os.unlink(path)
@@ -139,8 +132,3 @@ class DimacsBackend(SolverBackend):
             return BackendAnswer(result=SatResult.SAT, model=model,
                                  stats={"solves": 1})
         return BackendAnswer(result=status, stats={"solves": 1})
-
-    def interrupt(self) -> None:
-        with self._lock:
-            if self._process is not None and self._process.poll() is None:
-                self._process.kill()

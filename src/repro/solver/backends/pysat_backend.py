@@ -9,7 +9,7 @@ rest (assumptions, learned-clause retention).
 
 Budgets: ``max_conflicts`` maps to ``conf_budget``/``solve_limited`` where
 the chosen engine supports limited solving, and ``timeout`` is enforced
-with a timer that calls ``interrupt()``.  Engines without those hooks fall
+with a timer that interrupts the native solver.  Engines without those hooks fall
 back to an unbounded ``solve`` — sound, just not budgeted.
 
 ``REPRO_PYSAT_SOLVER`` selects the engine name (default ``cadical195``,
@@ -72,7 +72,7 @@ class PysatBackend(SolverBackend):
         timer: Optional[threading.Timer] = None
         limited = max_conflicts is not None or timeout is not None
         if limited and timeout is not None:
-            timer = threading.Timer(timeout, self.interrupt)
+            timer = threading.Timer(timeout, self._interrupt)
             timer.daemon = True
 
         try:
@@ -115,7 +115,7 @@ class PysatBackend(SolverBackend):
                                  stats=stats)
         return BackendAnswer(result=SatResult.UNKNOWN, stats=stats)
 
-    def interrupt(self) -> None:
+    def _interrupt(self) -> None:
         self._interrupted.set()
         try:
             self._solver.interrupt()

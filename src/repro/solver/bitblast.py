@@ -71,14 +71,6 @@ class BitBlaster:
         self._bv_cache[term.tid] = bits
         return bits
 
-    def variable_bits(self, name: str) -> List[int]:
-        """SAT literals allocated for a bit-vector variable (for models)."""
-        return self._var_bits[name]
-
-    def variable_bool(self, name: str) -> int:
-        """SAT literal allocated for a boolean variable (for models)."""
-        return self._var_bool[name]
-
     def known_bv_variables(self) -> Dict[str, List[int]]:
         # Name-sorted so model extraction and exported variable maps are
         # stable regardless of the order in which terms were encoded —

@@ -139,9 +139,6 @@ class CnfBuilder:
 
     # -- gates ------------------------------------------------------------------
 
-    def not_gate(self, a: int) -> int:
-        return -a
-
     def and_gate(self, a: int, b: int) -> int:
         if self.is_const(a):
             return b if self.const_value(a) else self.false_lit

@@ -26,14 +26,12 @@ simplified (deciding many queries outright) and the oracle chain
 assignments before any bit-blasting happens.
 
 Queries that survive the pre-pass are decided either by the in-process CDCL
-engine directly (``backend=None``, the default) or by the pluggable backend
-layer (:mod:`repro.solver.backends`): ``backend="pysat"`` routes every query
-through one named backend, ``portfolio=("builtin", "pysat")`` races several
-on the same bit-blasted CNF and takes the first definitive answer.  Backends
-must agree on verdicts — models may differ (any satisfying assignment is
-acceptable), and failed-assumption attribution in backend mode is uniformly
-coarse (every per-call term is blamed), keeping diagnostics byte-identical
-across backends.
+engine directly (``backend=None``, the default) or by one named backend from
+:mod:`repro.solver.backends`: ``backend="pysat"`` hands every bit-blasted
+CNF to that backend.  Backends must agree on verdicts — models may differ
+(any satisfying assignment is acceptable), and failed-assumption attribution
+in backend mode is uniformly coarse (every per-call term is blamed), keeping
+diagnostics byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -45,10 +43,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import (MetricsRegistry, absorb_dataclass,
                                merge_counter_dataclass)
-from repro.obs.trace import span
-from repro.solver.backends import (BuiltinBackend, PortfolioAnswer,
-                                   PortfolioSolver, create_backend, preanswer,
-                                   resolve_portfolio)
+from repro.solver.backends import (BackendAnswer, BuiltinBackend,
+                                   SolverBackend, backend_class, preanswer)
 from repro.solver.bitblast import BitBlaster
 from repro.solver.cnf import CnfBuilder
 from repro.solver.sat import SatResult, SatSolver
@@ -83,8 +79,6 @@ class SolverStats:
 
     oracle_sat: int = 0           # queries decided SAT by the oracle pre-pass
     oracle_unsat: int = 0         # queries decided UNSAT by constant folding
-    #: Definitive answers credited per backend name (backend mode only).
-    backend_wins: Dict[str, int] = field(default_factory=dict)
 
     sat_calls: int = 0            # queries that reached the CDCL loop
     restarts: int = 0             # CDCL restarts across those calls
@@ -111,16 +105,15 @@ class SolverStats:
         """Accumulate another stats block into this one.
 
         Reflection-based (:func:`repro.obs.metrics.merge_counter_dataclass`):
-        every numeric field adds and ``backend_wins`` adds per key, so a
-        counter added to this dataclass later can never be silently dropped
-        (``tests/test_stats_merge.py`` guards this).
+        every numeric field adds, so a counter added to this dataclass later
+        can never be silently dropped (``tests/test_stats_merge.py`` guards
+        this).
         """
         merge_counter_dataclass(self, other)
 
     def registry(self) -> MetricsRegistry:
         """These counters lifted into the unified metrics registry
-        (``solver.<field>`` counters, ``solver.backend_wins.<name>``
-        labeled counters)."""
+        (``solver.<field>`` counters)."""
         registry = MetricsRegistry()
         return absorb_dataclass(registry, "solver", self)
 
@@ -131,9 +124,6 @@ class SolverStats:
         """
         reg = self.registry()
         count = reg.counter
-        wins = {name[len("solver.backend_wins."):]: int(value)
-                for name, value in reg.counters.items()
-                if name.startswith("solver.backend_wins.")}
         return {
             "queries": int(count("solver.queries")),
             "sat": int(count("solver.sat")),
@@ -152,7 +142,6 @@ class SolverStats:
             "assumption_failures": int(count("solver.assumption_failures")),
             "oracle_sat": int(count("solver.oracle_sat")),
             "oracle_unsat": int(count("solver.oracle_unsat")),
-            "backend_wins": dict(sorted(wins.items())),
         }
 
 
@@ -217,13 +206,8 @@ class Solver:
     backend:
         Route queries through one named backend from
         :data:`repro.solver.backends.BACKENDS` ("builtin", "pysat",
-        "dimacs").  Naming an unavailable backend raises.  ``None`` (the
-        default) keeps the direct in-process CDCL path.
-    portfolio:
-        Race several named backends per query; the first definitive
-        SAT/UNSAT answer wins, ties break by configured order.  Unavailable
-        members are dropped silently (falling back to "builtin" when none
-        remain).  Mutually exclusive with ``backend``.
+        "dimacs").  Naming an unknown or unavailable backend raises.
+        ``None`` (the default) keeps the direct in-process CDCL path.
     """
 
     def __init__(
@@ -233,10 +217,7 @@ class Solver:
         max_conflicts: Optional[int] = 200_000,
         incremental: bool = False,
         backend: Optional[str] = None,
-        portfolio: Sequence[str] = (),
     ) -> None:
-        if backend is not None and portfolio:
-            raise ValueError("pass either backend= or portfolio=, not both")
         self.manager = manager if manager is not None else TermManager()
         self.timeout = timeout
         self.max_conflicts = max_conflicts
@@ -245,23 +226,15 @@ class Solver:
         self._frames: List[_Frame] = [_Frame()]
         self._last_model: Optional[Model] = None
         self._failed_assumptions: List[Term] = []
-        # Backend routing: None means the legacy direct-CDCL paths.
-        self._backend_names: Optional[List[str]] = None
-        if portfolio:
-            self._backend_names = resolve_portfolio(portfolio)
-        elif backend is not None:
-            self._backend_names = resolve_portfolio([backend], strict=True)
+        # Backend routing: None means the direct-CDCL paths.
+        self._backend_cls = None if backend is None else backend_class(backend)
         # Persistent engines (incremental mode), created on first use.
         self._sat: Optional[SatSolver] = None
         self._cnf: Optional[CnfBuilder] = None
         self._blaster: Optional[BitBlaster] = None
-        self._portfolio: Optional[PortfolioSolver] = None
+        self._backend: Optional[SolverBackend] = None
+        self._fed = 0                 # recorded clauses the backend has seen
         self._simplified: Dict[int, Term] = {}
-
-    @property
-    def backend_names(self) -> Optional[List[str]]:
-        """Resolved backend order, or None in legacy direct mode."""
-        return list(self._backend_names) if self._backend_names else None
 
     # -- assertion stack --------------------------------------------------------
 
@@ -363,7 +336,7 @@ class Solver:
                               simplified=True)
             return CheckResult.UNSAT
 
-        if self._backend_names is not None:
+        if self._backend_cls is not None:
             if self.incremental:
                 result = self._check_backend_incremental(
                     deltas, effective_timeout, start)
@@ -407,11 +380,13 @@ class Solver:
         blaster = BitBlaster(cnf)
         blaster.assert_term(conjunction)
 
-        remaining = None
-        if effective_timeout is not None:
-            remaining = max(0.0, effective_timeout - (time.monotonic() - start))
-        sat_result = sat.solve(max_conflicts=self.max_conflicts, timeout=remaining)
-        self._account_sat_work(sat, cnf, blaster, 0, 0, 0, 0, 0, 0)
+        # Count the search only, as backend mode does: the level-0
+        # propagation of unit clauses added while blasting is not counted.
+        propagations0 = sat.propagations
+        sat_result = sat.solve(max_conflicts=self.max_conflicts,
+                               timeout=_remaining(effective_timeout, start))
+        self._account_sat_work(sat, cnf, blaster, 0, 0, 0, propagations0,
+                               0, 0)
 
         if sat_result is SatResult.SAT:
             self._last_model = self._extract_model(sat.model_value, blaster,
@@ -432,8 +407,10 @@ class Solver:
             # Backend mode records the clause stream so external engines
             # receive exactly the CNF the in-process solver saw.
             self._cnf = CnfBuilder(self._sat,
-                                   record=self._backend_names is not None)
+                                   record=self._backend_cls is not None)
             self._blaster = BitBlaster(self._cnf)
+            if self._backend_cls is not None:
+                self._backend = self._new_backend(self._sat)
 
     def _simplify_term(self, term: Term) -> Term:
         cached = self._simplified.get(term.tid)
@@ -461,8 +438,6 @@ class Solver:
         sat, cnf, blaster = self._sat, self._cnf, self._blaster
         clauses0 = cnf.num_clauses
         hits0 = blaster.cache_hits
-        restarts0, conflicts0 = sat.restarts, sat.conflicts
-        decisions0, propagations0 = sat.decisions, sat.propagations
 
         self._encode_pending()
         delta_pairs: List[Tuple[Term, int]] = [
@@ -471,12 +446,11 @@ class Solver:
         assume = [frame.act for frame in self._frames if frame.act is not None]
         assume.extend(lit for _term, lit in delta_pairs)
 
-        remaining = None
-        if effective_timeout is not None:
-            remaining = max(0.0, effective_timeout - (time.monotonic() - start))
+        restarts0, conflicts0 = sat.restarts, sat.conflicts
+        decisions0, propagations0 = sat.decisions, sat.propagations
         sat_result = sat.solve(assumptions=assume,
                                max_conflicts=self.max_conflicts,
-                               timeout=remaining)
+                               timeout=_remaining(effective_timeout, start))
         self._account_sat_work(sat, cnf, blaster, restarts0, conflicts0,
                                decisions0, propagations0, clauses0, hits0)
 
@@ -506,21 +480,16 @@ class Solver:
 
     # -- backend mode --------------------------------------------------------------
 
-    def _make_portfolio(self, sat: SatSolver) -> PortfolioSolver:
-        """Instantiate the configured backends around a SAT instance.
+    def _new_backend(self, sat: SatSolver) -> SolverBackend:
+        """An instance of the configured backend for the CNF ``sat`` holds.
 
-        The "builtin" member wraps ``sat`` directly — the CnfBuilder feeds
-        it clause by clause as they are produced, so the recorded stream is
-        not replayed into it; every other member consumes the recording via
-        :meth:`PortfolioSolver.feed`.
+        "builtin" wraps ``sat`` itself, which the CnfBuilder already feeds
+        clause by clause, so the recorded stream is not replayed into it;
+        any other backend consumes the recording.
         """
-        members = []
-        for name in self._backend_names:
-            if name == "builtin":
-                members.append(BuiltinBackend(sat=sat))
-            else:
-                members.append(create_backend(name))
-        return PortfolioSolver(members)
+        if self._backend_cls is BuiltinBackend:
+            return BuiltinBackend(sat=sat)
+        return self._backend_cls()
 
     def _check_backend_scratch(self, conjunction: Term, terms: Sequence[Term],
                                deltas: Sequence[Term],
@@ -531,21 +500,15 @@ class Solver:
         blaster = BitBlaster(cnf)
         blaster.assert_term(conjunction)
 
-        portfolio = self._make_portfolio(sat)
+        backend = self._new_backend(sat)
         try:
-            portfolio.feed(sat.num_vars, cnf.clauses)
-            remaining = None
-            if effective_timeout is not None:
-                remaining = max(0.0,
-                                effective_timeout - (time.monotonic() - start))
-            # The race winner stays out of the span args on purpose: it is
-            # thread-timing dependent, and span identities must not be
-            # (wins are still counted in SolverStats.backend_wins).
-            with span("solver.race"):
-                answer = portfolio.solve(max_conflicts=self.max_conflicts,
-                                         timeout=remaining)
+            backend.ensure_vars(sat.num_vars)
+            backend.add_clauses(cnf.clauses)
+            answer = backend.solve(
+                max_conflicts=self.max_conflicts,
+                timeout=_remaining(effective_timeout, start))
         finally:
-            portfolio.close()
+            backend.close()
         self._account_backend_work(answer, cnf, blaster, 0, 0)
         return self._apply_backend_answer(answer, blaster, terms, deltas)
 
@@ -563,26 +526,20 @@ class Solver:
         assume = [frame.act for frame in self._frames if frame.act is not None]
         assume.extend(delta_lits)
 
-        if self._portfolio is None:
-            self._portfolio = self._make_portfolio(sat)
-        # Deliver clauses appended since the last check (cursor-sliced), so
-        # persistent external members stay incremental too.
-        self._portfolio.feed(sat.num_vars, cnf.clauses)
-
-        remaining = None
-        if effective_timeout is not None:
-            remaining = max(0.0,
-                            effective_timeout - (time.monotonic() - start))
-        with span("solver.race"):
-            answer = self._portfolio.solve(assume,
-                                           max_conflicts=self.max_conflicts,
-                                           timeout=remaining)
+        # Deliver the clauses recorded since the last check (a cursor into
+        # the stream), so a persistent external backend stays incremental.
+        backend = self._backend
+        backend.ensure_vars(sat.num_vars)
+        backend.add_clauses(cnf.clauses[self._fed:])
+        self._fed = len(cnf.clauses)
+        answer = backend.solve(assume, max_conflicts=self.max_conflicts,
+                               timeout=_remaining(effective_timeout, start))
         self._account_backend_work(answer, cnf, blaster, clauses0, hits0)
         return self._apply_backend_answer(answer, blaster,
                                           self.assertions() + list(deltas),
                                           deltas)
 
-    def _apply_backend_answer(self, answer: PortfolioAnswer,
+    def _apply_backend_answer(self, answer: BackendAnswer,
                               blaster: BitBlaster, terms: Sequence[Term],
                               deltas: Sequence[Term]) -> CheckResult:
         if answer.result is SatResult.SAT:
@@ -599,20 +556,17 @@ class Solver:
         self._last_model = None
         return CheckResult.UNKNOWN
 
-    def _account_backend_work(self, answer: PortfolioAnswer, cnf: CnfBuilder,
+    def _account_backend_work(self, answer: BackendAnswer, cnf: CnfBuilder,
                               blaster: BitBlaster, clauses0: int,
                               hits0: int) -> None:
         self.stats.sat_calls += 1
-        work = answer.answer.stats if answer.answer is not None else {}
+        work = answer.stats
         self.stats.restarts += work.get("restarts", 0)
         self.stats.conflicts += work.get("conflicts", 0)
         self.stats.decisions += work.get("decisions", 0)
         self.stats.propagations += work.get("propagations", 0)
         self.stats.blasted_clauses += cnf.num_clauses - clauses0
         self.stats.blast_hits += blaster.cache_hits - hits0
-        if answer.winner is not None:
-            self.stats.backend_wins[answer.winner] = \
-                self.stats.backend_wins.get(answer.winner, 0) + 1
 
     # -- stats / failure bookkeeping ---------------------------------------------
 
@@ -653,7 +607,7 @@ class Solver:
         """Rebuild named values from ``model_value`` (a var → bool callable).
 
         Works over any backend's assignment — the builtin solver's
-        ``model_value`` method or a :class:`PortfolioAnswer`'s.
+        ``model_value`` method or a :class:`BackendAnswer`'s.
         """
         values: Dict[str, int] = {}
         for name, bits in blaster.known_bv_variables().items():
@@ -675,6 +629,13 @@ class Solver:
             for name, _sort in collect_variables(term).items():
                 values.setdefault(name, 0)
         return Model(values)
+
+
+def _remaining(timeout: Optional[float], start: float) -> Optional[float]:
+    """What is left of a per-query ``timeout`` that started at ``start``."""
+    if timeout is None:
+        return None
+    return max(0.0, timeout - (time.monotonic() - start))
 
 
 def is_unsat(manager: TermManager, *terms: Term,

@@ -42,13 +42,9 @@ CORPUS = (SNIPPETS + STABLE_SNIPPETS)[::2]
 def _backend_configs():
     """Every backend configuration available in this environment."""
     configs = [("builtin", {"backend": "builtin"}),
-               ("portfolio-builtin-dimacs",
-                {"portfolio": ("builtin", "dimacs")}),
                ("dimacs", {"backend": "dimacs"})]
     if "pysat" in available_backends():
         configs.append(("pysat", {"backend": "pysat"}))
-        configs.append(("portfolio-builtin-pysat",
-                        {"portfolio": ("builtin", "pysat")}))
     return configs
 
 
@@ -77,17 +73,6 @@ def test_checker_verdicts_identical_across_backends(label, overrides):
             (label, snippet.name)
         assert baseline.witnesses_unconfirmed == routed.witnesses_unconfirmed, \
             (label, snippet.name)
-
-
-def test_backend_wins_are_reported(monkeypatch):
-    source = SNIPPETS[0].render("wins")
-    report = check_source(source, config=CheckerConfig(
-        solver_timeout=60.0, backend="dimacs"))
-    fn = report.functions[0]
-    # Every query that reached a backend was won by the only configured one.
-    assert set(fn.backend_wins) <= {"dimacs"}
-    assert sum(fn.backend_wins.values()) == fn.sat_calls
-    assert fn.oracle_sat + fn.oracle_unsat + fn.sat_calls >= fn.solver_queries
 
 
 # -- query level --------------------------------------------------------------------

@@ -233,10 +233,10 @@ class TestMetrics:
     def test_absorb_dataclass_prefixes_and_gauges(self):
         from repro.solver.solver import SolverStats
 
-        stats = SolverStats(queries=4, backend_wins={"cdcl": 2})
+        stats = SolverStats(queries=4, oracle_sat=2)
         reg = absorb_dataclass(MetricsRegistry(), "solver", stats)
         assert reg.counter("solver.queries") == 4
-        assert reg.counter("solver.backend_wins.cdcl") == 2
+        assert reg.counter("solver.oracle_sat") == 2
 
     def test_config_snapshot_is_json_safe(self):
         snap = config_snapshot(CheckerConfig())
@@ -257,24 +257,24 @@ class TestReadThrough:
         from repro.solver.solver import SolverStats
 
         stats = SolverStats(queries=7, sat=3, unsat=4, total_time=1.25,
-                            backend_wins={"cdcl": 5})
+                            conflicts=5)
         payload = stats.as_dict()
         assert payload["queries"] == 7
         assert payload["sat"] == 3
         assert payload["total_time"] == 1.25
-        assert payload["backend_wins"] == {"cdcl": 5}
+        assert payload["conflicts"] == 5
 
     def test_run_stats_as_dict_via_registry(self):
         from repro.engine.engine import RunStats
 
         stats = RunStats(units=3, queries=9, cache_hits=2, workers=4,
-                         backend_wins={"simplex": 1})
+                         sat_calls=1)
         payload = stats.as_dict()
         assert payload["units"] == 3
         assert payload["queries"] == 9
         assert payload["cache_hits"] == 2
         assert payload["workers"] == 4
-        assert payload["solver"]["backend_wins"] == {"simplex": 1}
+        assert payload["solver"]["sat_calls"] == 1
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,9 @@ class _Recorder(SatSolver):
         self.ops.append(("clause", list(lits)))
         return super().add_clause(lits)
 
-    def solve(self, assumptions=(), max_conflicts=None, timeout=None,
-              stop=None):
+    def solve(self, assumptions=(), max_conflicts=None, timeout=None):
         self.ops.append(("solve", list(assumptions), max_conflicts))
-        return super().solve(assumptions, max_conflicts, timeout, stop)
+        return super().solve(assumptions, max_conflicts, timeout)
 
 
 @pytest.mark.parametrize("name", ["fig10_postgres_division_overflow",

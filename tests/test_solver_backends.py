@@ -1,10 +1,9 @@
 """Unit tests for the pluggable backend layer (repro.solver.backends).
 
 Registry resolution, the oracle pre-answer chain, DIMACS emit/parse
-canonicalization, the portfolio race (deterministic tie-break, loser
-cancellation, disagreement detection), and the facade wiring
-(``Solver(backend=...)`` / ``Solver(portfolio=...)``, per-backend win
-counters, graceful degradation for unavailable members).
+canonicalization, and the facade wiring (``Solver(backend=...)``: the same
+work as the direct path, a cursor-fed clause stream, strict failure for an
+unknown or unavailable backend).
 
 Everything here runs with the dependency-free builtin backend; the
 ``dimacs`` paths are driven through the bundled reference CLI
@@ -13,27 +12,21 @@ Everything here runs with the dependency-free builtin backend; the
 
 import subprocess
 import sys
-import time
 
 import pytest
 
 from repro.solver import CheckResult, Solver, TermManager
 from repro.solver.backends import (
     BACKENDS,
-    BackendAnswer,
-    BackendDisagreement,
     BuiltinBackend,
     DimacsBackend,
-    PortfolioSolver,
     PysatBackend,
     SAT_BINARY_ENV,
-    SolverBackend,
     available_backends,
     constant_answer,
     create_backend,
     evaluation_answer,
     preanswer,
-    resolve_portfolio,
 )
 from repro.solver.backends.dimacs import parse_solver_output
 from repro.solver.backends.selfsolve import solve_dimacs_text
@@ -67,22 +60,11 @@ class TestRegistry:
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError, match="unknown solver backend"):
             create_backend("boolector")
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            resolve_portfolio(["builtin", "boolector"])
-
-    def test_unavailable_member_dropped_silently(self, monkeypatch):
-        monkeypatch.delenv(SAT_BINARY_ENV, raising=False)
-        resolved = resolve_portfolio(["builtin", "dimacs"])
-        assert resolved == ["builtin"]
-
-    def test_empty_resolution_falls_back_to_builtin(self, monkeypatch):
-        monkeypatch.delenv(SAT_BINARY_ENV, raising=False)
-        assert resolve_portfolio(["dimacs"]) == ["builtin"]
 
     def test_strict_resolution_raises_for_unavailable(self, monkeypatch):
         monkeypatch.delenv(SAT_BINARY_ENV, raising=False)
         with pytest.raises(RuntimeError, match="not available"):
-            resolve_portfolio(["dimacs"], strict=True)
+            create_backend("dimacs")
 
     def test_dimacs_available_iff_env_set(self, monkeypatch):
         monkeypatch.delenv(SAT_BINARY_ENV, raising=False)
@@ -218,106 +200,6 @@ class TestSelfsolve:
         assert "s UNSATISFIABLE" in proc.stdout
 
 
-# -- portfolio race -----------------------------------------------------------------
-
-
-class _StubBackend(SolverBackend):
-    """Scriptable backend: fixed result, optional delay, interrupt-aware."""
-
-    def __init__(self, name, result, model=None, delay=0.0):
-        self.name = name
-        self._result = result
-        self._model = model or {}
-        self._delay = delay
-        self.interrupted = False
-
-    def ensure_vars(self, num_vars):
-        pass
-
-    def add_clauses(self, clauses):
-        pass
-
-    def solve(self, assumptions=(), max_conflicts=None, timeout=None):
-        deadline = time.monotonic() + self._delay
-        while time.monotonic() < deadline:
-            if self.interrupted:
-                return BackendAnswer(result=SatResult.UNKNOWN)
-            time.sleep(0.005)
-        return BackendAnswer(result=self._result, model=dict(self._model))
-
-    def interrupt(self):
-        self.interrupted = True
-
-
-class TestPortfolio:
-    def test_single_member_runs_inline(self):
-        stub = _StubBackend("only", SatResult.SAT, model={1: True})
-        answer = PortfolioSolver([stub]).solve()
-        assert answer.result is SatResult.SAT
-        assert answer.winner == "only"
-        assert answer.model_value(1) is True
-
-    def test_tie_break_is_configured_order(self):
-        # Both answer SAT immediately; the first configured member must be
-        # credited regardless of thread scheduling.
-        first = _StubBackend("first", SatResult.SAT, model={1: True})
-        second = _StubBackend("second", SatResult.SAT, model={1: False})
-        for _ in range(5):
-            answer = PortfolioSolver([first, second]).solve()
-            assert answer.winner == "first"
-            assert answer.model_value(1) is True
-
-    def test_definitive_answer_cancels_losers(self):
-        fast = _StubBackend("fast", SatResult.UNSAT)
-        slow = _StubBackend("slow", SatResult.SAT, delay=30.0)
-        started = time.monotonic()
-        answer = PortfolioSolver([slow, fast]).solve()
-        assert time.monotonic() - started < 10.0
-        assert answer.result is SatResult.UNSAT
-        assert answer.winner == "fast"
-        assert slow.interrupted
-
-    def test_unknown_only_when_all_exhaust(self):
-        answer = PortfolioSolver([
-            _StubBackend("a", SatResult.UNKNOWN),
-            _StubBackend("b", SatResult.UNKNOWN)]).solve()
-        assert answer.result is SatResult.UNKNOWN
-        assert answer.winner is None
-        assert answer.verdicts == {"a": "unknown", "b": "unknown"}
-
-    def test_disagreement_raises(self):
-        lying = PortfolioSolver([_StubBackend("a", SatResult.SAT),
-                                 _StubBackend("b", SatResult.UNSAT)])
-        with pytest.raises(BackendDisagreement):
-            lying.solve()
-
-    def test_crashed_member_does_not_sink_the_race(self):
-        class Crashing(_StubBackend):
-            def solve(self, assumptions=(), max_conflicts=None, timeout=None):
-                raise RuntimeError("backend died")
-
-        answer = PortfolioSolver([Crashing("bad", SatResult.UNKNOWN),
-                                  _StubBackend("good", SatResult.SAT)]).solve()
-        assert answer.result is SatResult.SAT
-        assert answer.winner == "good"
-        assert answer.verdicts["bad"] == "error"
-
-    def test_feed_is_cursor_sliced(self):
-        class Recording(_StubBackend):
-            def __init__(self):
-                super().__init__("rec", SatResult.UNKNOWN)
-                self.received = []
-
-            def add_clauses(self, clauses):
-                self.received.extend(list(c) for c in clauses)
-
-        member = Recording()
-        portfolio = PortfolioSolver([member])
-        portfolio.feed(2, [[1], [1, 2]])
-        portfolio.feed(3, [[1], [1, 2], [-3]])
-        assert member.received == [[1], [1, 2], [-3]]
-
-
 # -- facade wiring ------------------------------------------------------------------
 
 
@@ -341,26 +223,53 @@ class TestSolverFacade:
         assert direct.check() is routed.check() is CheckResult.SAT
         assert direct.model()["x"] in (15, 241)
         assert routed.model()["x"] in (15, 241)
-        assert routed.stats.backend_wins == {"builtin": 1}
-        assert direct.stats.backend_wins == {}
-
-    def test_backend_and_portfolio_are_mutually_exclusive(self, mgr):
-        with pytest.raises(ValueError, match="not both"):
-            Solver(mgr, backend="builtin", portfolio=("builtin",))
+        # The builtin backend runs the very CDCL search of the direct path.
+        for counter in ("sat_calls", "restarts", "conflicts", "decisions",
+                        "propagations", "blasted_clauses"):
+            assert getattr(direct.stats, counter) == \
+                getattr(routed.stats, counter), counter
+        assert routed.stats.sat_calls == 1
 
     def test_explicit_unavailable_backend_raises(self, mgr, monkeypatch):
         monkeypatch.delenv(SAT_BINARY_ENV, raising=False)
         with pytest.raises(RuntimeError, match="not available"):
             Solver(mgr, backend="dimacs")
+        with pytest.raises(ValueError, match="unknown solver backend"):
+            Solver(mgr, backend="boolector")
 
-    def test_portfolio_degrades_to_builtin(self, mgr, monkeypatch):
-        monkeypatch.delenv(SAT_BINARY_ENV, raising=False)
-        solver = Solver(mgr, timeout=20.0, portfolio=("dimacs", "pysat"))
-        if "pysat" in available_backends():
-            assert solver.backend_names == ["pysat"]
-        else:
-            assert solver.backend_names == ["builtin"]
+    def test_backend_is_fed_each_recorded_clause_once(self, mgr,
+                                                      monkeypatch):
+        class Recording(BuiltinBackend):
+            """A builtin backend on its own SatSolver, fed the stream."""
 
+            name = "recording"
+            instances = []
+
+            def __init__(self):
+                super().__init__()
+                self.received = []
+                Recording.instances.append(self)
+
+            def add_clauses(self, clauses):
+                self.received.extend(list(c) for c in clauses)
+                super().add_clauses(clauses)
+
+        monkeypatch.setitem(BACKENDS, "recording", Recording)
+        solver = Solver(mgr, timeout=20.0, incremental=True,
+                        backend="recording")
+        x = _unstable_query(mgr, solver)
+        assert solver.check() is CheckResult.SAT
+        assert solver.model()["x"] in (15, 241)
+        solver.push()
+        solver.add(mgr.eq(x, mgr.bv_const(15, 8)))
+        assert solver.check() is CheckResult.SAT
+        assert solver.model()["x"] == 15
+        solver.pop()
+        assert solver.check(assumptions=[mgr.eq(x, mgr.bv_const(16, 8))]) \
+            is CheckResult.UNSAT
+        assert solver.stats.sat_calls == 3          # all three were fed
+        (backend,) = Recording.instances
+        assert backend.received == solver._cnf.clauses
     @pytest.mark.parametrize("incremental", [False, True])
     def test_dimacs_backend_through_selfsolve(self, mgr, selfsolve_env,
                                               incremental):
@@ -372,15 +281,7 @@ class TestSolverFacade:
         bad = mgr.eq(x, mgr.bv_const(0, 8))
         assert solver.check(assumptions=[bad]) is CheckResult.UNSAT
         assert solver.failed_assumptions() == [bad]
-        assert solver.stats.backend_wins == {"dimacs": 2}
-
-    def test_portfolio_race_on_real_query(self, mgr, selfsolve_env):
-        solver = Solver(mgr, timeout=60.0, incremental=True,
-                        portfolio=("builtin", "dimacs"))
-        _unstable_query(mgr, solver)
-        assert solver.check() is CheckResult.SAT
-        assert sum(solver.stats.backend_wins.values()) == 1
-        assert set(solver.stats.backend_wins) <= {"builtin", "dimacs"}
+        assert solver.stats.sat_calls == 2
 
     def test_backend_push_pop(self, mgr, selfsolve_env):
         solver = Solver(mgr, timeout=60.0, incremental=True,

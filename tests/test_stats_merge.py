@@ -35,11 +35,6 @@ def synthesize(cls, base):
             setattr(obj, field.name, base % 2 == 1)
         elif isinstance(default, (int, float)):
             setattr(obj, field.name, type(default)(base * 100 + offset))
-        elif isinstance(default, dict):
-            setattr(obj, field.name,
-                    {"shared": base * 100 + offset, f"only{base}": base})
-        elif isinstance(default, list):
-            setattr(obj, field.name, [base * 100 + offset])
         else:  # pragma: no cover - no such field today
             pytest.fail(f"unmergeable field type: {cls.__name__}.{field.name}")
     return obj
@@ -64,12 +59,6 @@ def test_every_field_is_merged(cls, maxed):
         elif isinstance(a, (int, float)):
             want = max(a, b) if field.name in maxed else a + b
             assert got == want, field.name
-        elif isinstance(a, dict):
-            for key in set(a) | set(b):
-                assert got[key] == a.get(key, 0) + b.get(key, 0), \
-                    f"{field.name}[{key}]"
-        elif isinstance(a, list):
-            assert got == a + b, field.name
 
 
 @pytest.mark.parametrize("cls,maxed", CASES,
