@@ -709,6 +709,11 @@ class ServeServer:
         if sink is not None:
             sink.write_summary(summary)
             sink.close()
+        # Emit the event before the client can see "job-done": a client
+        # that asks for status right after it must find the event there.
+        self.ops.emit("info", "scheduler", "job-done", job=job.job_id,
+                      units=len(results), cancelled=job.cancelled,
+                      dropped=job.dropped, wall=round(wall_clock, 6))
         client = self._clients.get(job.client_id)
         if client is not None:
             record = {"type": "run"}
@@ -718,9 +723,6 @@ class ServeServer:
             status = "cancelled" if job.cancelled else "ok"
             client.enqueue({"type": "job-done", "job": job.job_id,
                             "status": status, "units": len(results)})
-        self.ops.emit("info", "scheduler", "job-done", job=job.job_id,
-                      units=len(results), cancelled=job.cancelled,
-                      dropped=job.dropped, wall=round(wall_clock, 6))
         self.ops.flight.record_span(f"job:{job.job_id}", wall_clock,
                                     units=len(results),
                                     cancelled=job.cancelled)

@@ -1,6 +1,7 @@
 """Oracle pre-answers: decide trivial queries before any CNF exists.
 
-gasol-optimizer-style cheap pre-checks that run ahead of the backend race.
+gasol-optimizer-style cheap pre-checks that run before the query reaches a
+SAT backend.
 Two oracles, both sound and both CNF-free:
 
 * **constant** — the simplified conjunction folded to a boolean constant;

@@ -6,6 +6,19 @@ DIMACS convention (positive/negative ints); the special constants ``TRUE``
 and ``FALSE`` are represented by a dedicated root-level variable so that gate
 encoders never need to special-case them.
 
+AND and XOR gates are structurally hashed: a per-builder memo maps the
+normalized input pair to the output literal, so a gate of inputs the
+builder has already encoded costs no variable and no clause.  AND is keyed
+on the sorted signed pair; XOR on the sorted pair of variables, with the
+output negated when exactly one input was negative
+(``xor(-a, b) == -xor(a, b)``).  Every other encoding (OR, the adders,
+comparators, multipliers, shifters, dividers) is built from these two and
+shares gates through them; MUX is not hashed.  The memo lives as long as
+the builder, which for an incremental solver means across queries and
+push/pop.  That is sound because gate clauses are never guarded: only
+:meth:`CnfBuilder.assert_lit` takes a guard, and it guards the asserted
+literal alone, so every gate definition holds in every frame.
+
 With ``record=True`` the builder additionally keeps every emitted clause in
 :attr:`CnfBuilder.clauses`, which is how the solver backends
 (:mod:`repro.solver.backends`) are fed: external engines receive the exact
@@ -19,7 +32,7 @@ clause — so two runs that blast the same terms export byte-identical files
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.solver.sat import SatSolver
 
@@ -103,6 +116,9 @@ class CnfBuilder:
         #: append-only, so backends can consume it with a cursor.
         self.clauses: List[List[int]] = []
         self._record = record
+        # Structural hashing: normalized input pair -> output literal.
+        self._and_memo: Dict[Tuple[int, int], int] = {}
+        self._xor_memo: Dict[Tuple[int, int], int] = {}
         # A variable constrained to true; its negation encodes false.
         self._true = sat.new_var()
         self.add_clause([self._true])
@@ -148,10 +164,13 @@ class CnfBuilder:
             return a
         if a == -b:
             return self.false_lit
-        out = self.new_lit()
-        self.add_clause([-out, a])
-        self.add_clause([-out, b])
-        self.add_clause([out, -a, -b])
+        key = (a, b) if a < b else (b, a)
+        out = self._and_memo.get(key)
+        if out is None:
+            out = self._and_memo[key] = self.new_lit()
+            self.add_clause([-out, a])
+            self.add_clause([-out, b])
+            self.add_clause([out, -a, -b])
         return out
 
     def or_gate(self, a: int, b: int) -> int:
@@ -166,12 +185,18 @@ class CnfBuilder:
             return self.false_lit
         if a == -b:
             return self.true_lit
-        out = self.new_lit()
-        self.add_clause([-out, a, b])
-        self.add_clause([-out, -a, -b])
-        self.add_clause([out, -a, b])
-        self.add_clause([out, a, -b])
-        return out
+        # xor(-a, b) == -xor(a, b): one gate per pair of variables.
+        negate = (a < 0) != (b < 0)
+        a, b = abs(a), abs(b)
+        key = (a, b) if a < b else (b, a)
+        out = self._xor_memo.get(key)
+        if out is None:
+            out = self._xor_memo[key] = self.new_lit()
+            self.add_clause([-out, a, b])
+            self.add_clause([-out, -a, -b])
+            self.add_clause([out, -a, b])
+            self.add_clause([out, a, -b])
+        return -out if negate else out
 
     def mux_gate(self, sel: int, then: int, els: int) -> int:
         """Return ``sel ? then : els``."""

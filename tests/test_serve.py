@@ -559,6 +559,36 @@ def test_status_and_ping(serve_socket):
         server.close()
 
 
+def test_job_done_event_precedes_the_job_done_message(serve_socket,
+                                                       monkeypatch):
+    """The ``job-done`` ops event is in the recent-event tail before the
+    client is sent ``job-done``, so a status request right after the job
+    finishes always finds it."""
+    from repro.serve.server import _ClientConn
+
+    server = _start_server(serve_socket, workers=1)
+    seen = []
+    enqueue = _ClientConn.enqueue
+
+    def probing_enqueue(self, message, timeout=30.0):
+        if message.get("type") == "job-done":
+            seen.append(any(event["event"] == "job-done"
+                            and event["fields"]["job"] == message["job"]
+                            for event in server.ops.recent_events(99)))
+        enqueue(self, message, timeout)
+
+    monkeypatch.setattr(_ClientConn, "enqueue", probing_enqueue)
+    try:
+        with ServeClient(serve_socket, name="race-probe") as client:
+            client.check([("a.c", STABLE)])
+            client.check([("b.c", STABLE)])
+            events = client.status()["recent_events"]
+            assert any(event["event"] == "job-done" for event in events)
+        assert seen == [True, True]
+    finally:
+        server.close()
+
+
 def test_status_reports_worker_detail_and_uptime(serve_socket):
     server = _start_server(serve_socket, workers=2)
     try:
