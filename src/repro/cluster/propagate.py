@@ -59,12 +59,6 @@ class ClusterStats:
     fallbacks: int = 0               # members re-checked in full instead
     cluster_time: float = 0.0        # seconds fingerprinting + confirming
 
-    def as_dict(self) -> Dict[str, object]:
-        return {"functions": self.functions, "clusters": self.clusters,
-                "propagated": self.propagated, "confirmed": self.confirmed,
-                "fallbacks": self.fallbacks,
-                "cluster_time": round(self.cluster_time, 6)}
-
 
 def aligned_clone(member: ClusterMember, representative: ClusterMember) -> Function:
     """Clone ``member`` renamed onto ``representative`` via the isomorphism.

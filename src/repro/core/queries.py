@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.encode import FunctionEncoder
-from repro.obs.metrics import merge_counter_dataclass
 from repro.obs.ops import note_query
 from repro.obs.trace import span
 from repro.solver.solver import CheckResult, Solver, SolverStats
@@ -52,15 +51,11 @@ class QueryStats:
     unsat: int = 0
     cache_hits: int = 0
     contexts: int = 0
-    total_time: float = 0.0
 
     @property
     def solver_queries(self) -> int:
         """Queries that reached the solver (total minus cache replays)."""
         return self.queries - self.cache_hits
-
-    def merge(self, other: "QueryStats") -> None:
-        merge_counter_dataclass(self, other)
 
 
 class QueryContext:
@@ -158,7 +153,6 @@ class QueryContext:
                 result = solver.check()
                 elapsed = solver.stats.total_time
                 engine._scratch_stats.merge(solver.stats)
-            engine.stats.total_time += elapsed
 
             verdict = result.value
             if engine.cache is not None and key is not None:

@@ -10,7 +10,7 @@ the diagnostics for a module together with the query statistics.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.ubconditions import UBCondition, UBKind
@@ -112,18 +112,19 @@ def report_signature(result) -> List[tuple]:
 
 
 @dataclass
-class FunctionReport:
-    """Diagnostics and counters for one analyzed function."""
+class Counters:
+    """The counters every function, unit and run record carries.
 
-    function: str
-    diagnostics: List[Diagnostic] = field(default_factory=list)
+    Declared once: :class:`FunctionReport` and the engine's ``RunStats``
+    extend this class, :meth:`BugReport.totals` and ``aggregate_results``
+    sum it field by field, and the result sink writes it
+    (``repro.engine.sink``, docs/ENGINE.md).  Python 3.9 has no
+    ``kw_only`` dataclasses, so every field needs a default.
+    """
+
     queries: int = 0
     cache_hits: int = 0                     # queries answered from the cache
     timeouts: int = 0
-    analysis_time: float = 0.0
-    suppressed_compiler_origin: int = 0     # warnings dropped per §4.2/§4.5
-    cluster_propagated: bool = False        # verdict copied from a cluster
-                                            # representative (docs/CLUSTER.md)
     # Solver-level counters (see repro.solver.solver.SolverStats / docs/SOLVER.md):
     contexts: int = 0                       # incremental query contexts opened
     sat_calls: int = 0                      # queries that reached the CDCL loop
@@ -132,6 +133,7 @@ class FunctionReport:
     solver_time: float = 0.0                # seconds spent inside the solver
     oracle_sat: int = 0                     # queries the oracle pre-pass decided SAT
     oracle_unsat: int = 0                   # queries constant folding decided UNSAT
+    analysis_time: float = 0.0
     # Stage-5 witness validation counters (repro.exec.witness / docs/EXEC.md):
     witnesses_confirmed: int = 0            # replay trips the reported UB
     witnesses_unconfirmed: int = 0          # probable false positive
@@ -148,19 +150,43 @@ class FunctionReport:
     repair_time: float = 0.0                # seconds spent in stage 6
 
     @property
-    def witnesses_validated(self) -> int:
-        return (self.witnesses_confirmed + self.witnesses_unconfirmed
-                + self.witnesses_inconclusive)
-
-    @property
     def solver_queries(self) -> int:
         """Queries that actually reached the solver."""
         return self.queries - self.cache_hits
 
+    @property
+    def witnesses_validated(self) -> int:
+        return (self.witnesses_confirmed + self.witnesses_unconfirmed
+                + self.witnesses_inconclusive)
+
+    def add(self, other: "Counters") -> None:
+        """Add every counter of ``other`` into this one."""
+        for name in COUNTER_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+#: The counter fields, in declaration (and record) order.
+COUNTER_NAMES = tuple(f.name for f in fields(Counters))
+
+
+@dataclass
+class FunctionReport(Counters):
+    """Diagnostics and counters for one analyzed function."""
+
+    function: str = ""
+    diagnostics: List[Diagnostic] = field(default_factory=list)
+    suppressed_compiler_origin: int = 0     # warnings dropped per §4.2/§4.5
+    cluster_propagated: bool = False        # verdict copied from a cluster
+                                            # representative (docs/CLUSTER.md)
+
 
 @dataclass
 class BugReport:
-    """The result of checking a module (or a whole build)."""
+    """The result of checking a module (or a whole build).
+
+    Every counter of :class:`Counters` reads as its total over the
+    functions: ``report.queries`` is ``report.totals().queries``.
+    """
 
     module: str = ""
     functions: List[FunctionReport] = field(default_factory=list)
@@ -172,116 +198,23 @@ class BugReport:
             out.extend(report.diagnostics)
         return out
 
-    @property
-    def queries(self) -> int:
-        return sum(f.queries for f in self.functions)
+    def totals(self) -> Counters:
+        """Every counter summed over the functions.
 
-    @property
-    def cache_hits(self) -> int:
-        return sum(f.cache_hits for f in self.functions)
+        ``sum`` rather than :meth:`Counters.add`: a report without
+        functions (a unit that failed to compile) totals to int ``0``,
+        which its unit record has always shown as ``0``, not ``0.0``.
+        """
+        return Counters(**{name: sum(getattr(report, name)
+                                     for report in self.functions)
+                           for name in COUNTER_NAMES})
 
-    @property
-    def solver_queries(self) -> int:
-        return sum(f.solver_queries for f in self.functions)
-
-    @property
-    def timeouts(self) -> int:
-        return sum(f.timeouts for f in self.functions)
-
-    @property
-    def contexts(self) -> int:
-        return sum(f.contexts for f in self.functions)
-
-    @property
-    def sat_calls(self) -> int:
-        return sum(f.sat_calls for f in self.functions)
-
-    @property
-    def restarts(self) -> int:
-        return sum(f.restarts for f in self.functions)
-
-    @property
-    def blasted_clauses(self) -> int:
-        return sum(f.blasted_clauses for f in self.functions)
-
-    @property
-    def solver_time(self) -> float:
-        return sum(f.solver_time for f in self.functions)
-
-    @property
-    def oracle_sat(self) -> int:
-        return sum(f.oracle_sat for f in self.functions)
-
-    @property
-    def oracle_unsat(self) -> int:
-        return sum(f.oracle_unsat for f in self.functions)
-
-    @property
-    def analysis_time(self) -> float:
-        return sum(f.analysis_time for f in self.functions)
-
-    @property
-    def witnesses_confirmed(self) -> int:
-        return sum(f.witnesses_confirmed for f in self.functions)
-
-    @property
-    def witnesses_unconfirmed(self) -> int:
-        return sum(f.witnesses_unconfirmed for f in self.functions)
-
-    @property
-    def witnesses_inconclusive(self) -> int:
-        return sum(f.witnesses_inconclusive for f in self.functions)
-
-    @property
-    def witnesses_validated(self) -> int:
-        return sum(f.witnesses_validated for f in self.functions)
-
-    @property
-    def witness_time(self) -> float:
-        return sum(f.witness_time for f in self.functions)
-
-    @property
-    def repairs_attempted(self) -> int:
-        return sum(f.repairs_attempted for f in self.functions)
-
-    @property
-    def repairs_succeeded(self) -> int:
-        return sum(f.repairs_succeeded for f in self.functions)
-
-    @property
-    def repairs_rejected(self) -> int:
-        return sum(f.repairs_rejected for f in self.functions)
-
-    @property
-    def repairs_no_template(self) -> int:
-        return sum(f.repairs_no_template for f in self.functions)
-
-    @property
-    def repair_gate_equivalence_rejects(self) -> int:
-        return sum(f.repair_gate_equivalence_rejects for f in self.functions)
-
-    @property
-    def repair_gate_recheck_rejects(self) -> int:
-        return sum(f.repair_gate_recheck_rejects for f in self.functions)
-
-    @property
-    def repair_gate_replay_rejects(self) -> int:
-        return sum(f.repair_gate_replay_rejects for f in self.functions)
-
-    @property
-    def repair_time(self) -> float:
-        return sum(f.repair_time for f in self.functions)
-
-    def metrics(self) -> "MetricsRegistry":
-        """Every per-function counter lifted into one unified metrics
-        registry (``report.<field>`` counters).  :meth:`describe` reads
-        through this."""
-        from repro.obs.metrics import MetricsRegistry, absorb_dataclass
-
-        registry = MetricsRegistry()
-        for function_report in self.functions:
-            absorb_dataclass(registry, "report", function_report)
-        return registry
+    def __getattr__(self, name: str):
+        if name in COUNTER_NAMES or name in ("solver_queries",
+                                             "witnesses_validated"):
+            return getattr(self.totals(), name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def by_algorithm(self) -> Dict[Algorithm, int]:
         counts = {algorithm: 0 for algorithm in Algorithm}
@@ -297,10 +230,7 @@ class BugReport:
         return counts
 
     def describe(self) -> str:
-        # Every number below reads through the unified metrics registry
-        # (repro.obs.metrics); the rendered text is the legacy format.
-        registry = self.metrics()
-        count = registry.counter
+        totals = self.totals()
         lines = [f"== Stack report for {self.module or '<module>'} =="]
         if not self.bugs:
             lines.append("no unstable code found")
@@ -308,29 +238,26 @@ class BugReport:
             lines.append(diagnostic.describe())
             lines.append("")
         lines.append(f"{len(self.bugs)} warning(s), "
-                     f"{int(count('report.queries'))} solver queries, "
-                     f"{int(count('report.timeouts'))} timeouts")
-        lines.append(f"solver work: {int(count('report.sat_calls'))} CDCL calls over "
-                     f"{int(count('report.contexts'))} incremental contexts, "
-                     f"{int(count('report.restarts'))} restarts, "
-                     f"{int(count('report.blasted_clauses'))} bit-blasted clauses, "
-                     f"{count('report.solver_time'):.2f}s in the solver")
-        witnesses_validated = (count("report.witnesses_confirmed")
-                               + count("report.witnesses_unconfirmed")
-                               + count("report.witnesses_inconclusive"))
-        if witnesses_validated:
+                     f"{totals.solver_queries} queries solved, "
+                     f"{totals.cache_hits} cache hits, "
+                     f"{totals.timeouts} timeouts")
+        lines.append(f"solver work: {totals.sat_calls} CDCL calls over "
+                     f"{totals.contexts} incremental contexts, "
+                     f"{totals.restarts} restarts, "
+                     f"{totals.blasted_clauses} bit-blasted clauses, "
+                     f"{totals.solver_time:.2f}s in the solver")
+        if totals.witnesses_validated:
             lines.append(f"witness validation: "
-                         f"{int(count('report.witnesses_confirmed'))} "
-                         f"confirmed, "
-                         f"{int(count('report.witnesses_unconfirmed'))} unconfirmed, "
-                         f"{int(count('report.witnesses_inconclusive'))} inconclusive "
-                         f"({count('report.witness_time'):.2f}s replaying)")
-        if count("report.repairs_attempted"):
-            lines.append(f"auto-repair: {int(count('report.repairs_succeeded'))} of "
-                         f"{int(count('report.repairs_attempted'))} diagnostics repaired, "
-                         f"{int(count('report.repairs_rejected'))} rejected by the verifier, "
-                         f"{int(count('report.repairs_no_template'))} without a template "
-                         f"({count('report.repair_time'):.2f}s in stage 6)")
+                         f"{totals.witnesses_confirmed} confirmed, "
+                         f"{totals.witnesses_unconfirmed} unconfirmed, "
+                         f"{totals.witnesses_inconclusive} inconclusive "
+                         f"({totals.witness_time:.2f}s replaying)")
+        if totals.repairs_attempted:
+            lines.append(f"auto-repair: {totals.repairs_succeeded} of "
+                         f"{totals.repairs_attempted} diagnostics repaired, "
+                         f"{totals.repairs_rejected} rejected by the verifier, "
+                         f"{totals.repairs_no_template} without a template "
+                         f"({totals.repair_time:.2f}s in stage 6)")
         return "\n".join(lines)
 
     def merge(self, other: "BugReport") -> None:

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.checker import CheckerConfig
-from repro.core.report import BugReport
+from repro.core.report import BugReport, Counters
 from repro.engine.cache import SolverQueryCache
-from repro.engine.sink import JsonlResultSink
+from repro.engine.sink import (JsonlResultSink, repair_block, solver_block,
+                               witnesses_block)
 from repro.engine.workunit import UnitResult, WorkUnit, check_work_unit
 from repro.ir.function import Module
 from repro.obs.metrics import (MetricsRegistry, absorb_dataclass,
@@ -66,43 +67,22 @@ class EngineConfig:
 
 
 @dataclass
-class RunStats:
-    """Aggregate statistics of one engine run (the Figure 16 counters)."""
+class RunStats(Counters):
+    """Aggregate statistics of one engine run (the Figure 16 counters).
+
+    The record counters come from :class:`~repro.core.report.Counters`;
+    the fields below are the run's own.
+    """
 
     units: int = 0
     failed_units: int = 0
     functions: int = 0
     diagnostics: int = 0
-    queries: int = 0
-    solver_queries: int = 0
-    cache_hits: int = 0
-    timeouts: int = 0
+    solver_queries: int = 0              # queries - cache_hits, stored so
+                                         # merges and run.* metrics carry it
     escalated_units: int = 0
     workers: int = 0
     wall_clock: float = 0.0
-    analysis_time: float = 0.0
-    # Aggregated per-query SolverStats (see docs/SOLVER.md):
-    contexts: int = 0
-    sat_calls: int = 0
-    restarts: int = 0
-    blasted_clauses: int = 0
-    solver_time: float = 0.0
-    oracle_sat: int = 0                  # queries the oracle pre-pass decided SAT
-    oracle_unsat: int = 0                # queries constant folding decided UNSAT
-    # Stage-5 witness validation totals (repro.exec.witness / docs/EXEC.md):
-    witnesses_confirmed: int = 0
-    witnesses_unconfirmed: int = 0
-    witnesses_inconclusive: int = 0
-    witness_time: float = 0.0
-    # Stage-6 auto-repair totals (repro.repair / docs/REPAIR.md):
-    repairs_attempted: int = 0
-    repairs_succeeded: int = 0
-    repairs_rejected: int = 0
-    repairs_no_template: int = 0
-    repair_gate_equivalence_rejects: int = 0
-    repair_gate_recheck_rejects: int = 0
-    repair_gate_replay_rejects: int = 0
-    repair_time: float = 0.0
     # Structural-clustering dedup totals (repro.cluster / docs/CLUSTER.md):
     cluster_functions: int = 0           # functions that entered clustering
     cluster_clusters: int = 0            # distinct canonical forms
@@ -130,56 +110,30 @@ class RunStats:
         return absorb_dataclass(registry, "run", self, gauges=("workers",))
 
     def as_dict(self) -> Dict[str, object]:
-        """The legacy nested summary schema, read through the registry."""
-        reg = self.registry()
-        count = reg.counter
+        """The nested run-summary schema (docs/ENGINE.md)."""
         return {
-            "units": int(count("run.units")),
-            "failed_units": int(count("run.failed_units")),
-            "functions": int(count("run.functions")),
-            "diagnostics": int(count("run.diagnostics")),
-            "queries": int(count("run.queries")),
-            "solver_queries": int(count("run.solver_queries")),
-            "cache_hits": int(count("run.cache_hits")),
-            "timeouts": int(count("run.timeouts")),
-            "escalated_units": int(count("run.escalated_units")),
-            "workers": int(reg.gauges.get("run.workers", 0)),
-            "wall_clock": round(count("run.wall_clock"), 6),
-            "analysis_time": round(count("run.analysis_time"), 6),
-            "solver": {
-                "contexts": int(count("run.contexts")),
-                "sat_calls": int(count("run.sat_calls")),
-                "restarts": int(count("run.restarts")),
-                "blasted_clauses": int(count("run.blasted_clauses")),
-                "solver_time": round(count("run.solver_time"), 6),
-                "oracle_sat": int(count("run.oracle_sat")),
-                "oracle_unsat": int(count("run.oracle_unsat")),
-            },
-            "witnesses": {
-                "confirmed": int(count("run.witnesses_confirmed")),
-                "unconfirmed": int(count("run.witnesses_unconfirmed")),
-                "inconclusive": int(count("run.witnesses_inconclusive")),
-                "witness_time": round(count("run.witness_time"), 6),
-            },
-            "repair": {
-                "attempted": int(count("run.repairs_attempted")),
-                "repaired": int(count("run.repairs_succeeded")),
-                "rejected": int(count("run.repairs_rejected")),
-                "no_template": int(count("run.repairs_no_template")),
-                "gate_rejections": {
-                    "equivalence": int(count("run.repair_gate_equivalence_rejects")),
-                    "recheck": int(count("run.repair_gate_recheck_rejects")),
-                    "replay": int(count("run.repair_gate_replay_rejects")),
-                },
-                "repair_time": round(count("run.repair_time"), 6),
-            },
+            "units": self.units,
+            "failed_units": self.failed_units,
+            "functions": self.functions,
+            "diagnostics": self.diagnostics,
+            "queries": self.queries,
+            "solver_queries": self.solver_queries,
+            "cache_hits": self.cache_hits,
+            "timeouts": self.timeouts,
+            "escalated_units": self.escalated_units,
+            "workers": self.workers,
+            "wall_clock": round(self.wall_clock, 6),
+            "analysis_time": round(self.analysis_time, 6),
+            "solver": solver_block(self),
+            "witnesses": witnesses_block(self),
+            "repair": repair_block(self),
             "cluster": {
-                "functions": int(count("run.cluster_functions")),
-                "clusters": int(count("run.cluster_clusters")),
-                "propagated": int(count("run.cluster_propagated")),
-                "confirmed": int(count("run.cluster_confirmed")),
-                "fallbacks": int(count("run.cluster_fallbacks")),
-                "cluster_time": round(count("run.cluster_time"), 6),
+                "functions": self.cluster_functions,
+                "clusters": self.cluster_clusters,
+                "propagated": self.cluster_propagated,
+                "confirmed": self.cluster_confirmed,
+                "fallbacks": self.cluster_fallbacks,
+                "cluster_time": round(self.cluster_time, 6),
             },
         }
 
@@ -202,30 +156,7 @@ def aggregate_results(results: Sequence[UnitResult], wall_clock: float,
         report = result.report
         stats.functions += len(report.functions)
         stats.diagnostics += len(report.bugs)
-        stats.queries += report.queries
-        stats.cache_hits += report.cache_hits
-        stats.timeouts += report.timeouts
-        stats.analysis_time += report.analysis_time
-        stats.contexts += report.contexts
-        stats.sat_calls += report.sat_calls
-        stats.restarts += report.restarts
-        stats.blasted_clauses += report.blasted_clauses
-        stats.solver_time += report.solver_time
-        stats.oracle_sat += report.oracle_sat
-        stats.oracle_unsat += report.oracle_unsat
-        stats.witnesses_confirmed += report.witnesses_confirmed
-        stats.witnesses_unconfirmed += report.witnesses_unconfirmed
-        stats.witnesses_inconclusive += report.witnesses_inconclusive
-        stats.witness_time += report.witness_time
-        stats.repairs_attempted += report.repairs_attempted
-        stats.repairs_succeeded += report.repairs_succeeded
-        stats.repairs_rejected += report.repairs_rejected
-        stats.repairs_no_template += report.repairs_no_template
-        stats.repair_gate_equivalence_rejects += \
-            report.repair_gate_equivalence_rejects
-        stats.repair_gate_recheck_rejects += report.repair_gate_recheck_rejects
-        stats.repair_gate_replay_rejects += report.repair_gate_replay_rejects
-        stats.repair_time += report.repair_time
+        stats.add(report.totals())
     stats.solver_queries = stats.queries - stats.cache_hits
     return stats
 

@@ -17,7 +17,7 @@ import json
 import os
 from typing import IO, Dict, List, Optional
 
-from repro.core.report import BugReport, Diagnostic
+from repro.core.report import COUNTER_NAMES, BugReport, Counters, Diagnostic
 
 #: Record fields that measure wall-clock time.  Everything else in a unit
 #: or run record is a deterministic function of the corpus and the checker
@@ -70,12 +70,58 @@ def diagnostic_to_dict(diagnostic: Diagnostic) -> Dict[str, object]:
     }
 
 
+def solver_block(counters: Counters) -> Dict[str, object]:
+    """The solver counters: flat in function and unit records, the
+    ``"solver"`` block of the run summary."""
+    return {
+        "contexts": counters.contexts,
+        "sat_calls": counters.sat_calls,
+        "restarts": counters.restarts,
+        "blasted_clauses": counters.blasted_clauses,
+        "solver_time": round(counters.solver_time, 6),
+        "oracle_sat": counters.oracle_sat,
+        "oracle_unsat": counters.oracle_unsat,
+    }
+
+
+def witnesses_block(counters: Counters) -> Dict[str, object]:
+    """The ``"witnesses"`` block of function records and the run summary."""
+    return {
+        "confirmed": counters.witnesses_confirmed,
+        "unconfirmed": counters.witnesses_unconfirmed,
+        "inconclusive": counters.witnesses_inconclusive,
+        "witness_time": round(counters.witness_time, 6),
+    }
+
+
+def repair_block(counters: Counters) -> Dict[str, object]:
+    """The ``"repair"`` block of function records and the run summary."""
+    return {
+        "attempted": counters.repairs_attempted,
+        "repaired": counters.repairs_succeeded,
+        "rejected": counters.repairs_rejected,
+        "no_template": counters.repairs_no_template,
+        "gate_rejections": {
+            "equivalence": counters.repair_gate_equivalence_rejects,
+            "recheck": counters.repair_gate_recheck_rejects,
+            "replay": counters.repair_gate_replay_rejects,
+        },
+        "repair_time": round(counters.repair_time, 6),
+    }
+
+
 def report_to_dict(name: str, report: BugReport, attempts: int = 1,
                    escalated: bool = False,
                    error: Optional[str] = None,
                    meta: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """Flatten one unit's bug report into the JSONL ``unit`` record."""
-    return {
+    """Flatten one unit's bug report into the JSONL ``unit`` record.
+
+    The unit's totals are flat, under their :class:`Counters` field names,
+    except the repair gate rejections, which only function records and
+    the run summary break out.
+    """
+    totals = report.totals()
+    record: Dict[str, object] = {
         "type": "unit",
         "unit": name,
         "module": report.module,
@@ -91,57 +137,21 @@ def report_to_dict(name: str, report: BugReport, attempts: int = 1,
                 "queries": fr.queries,
                 "cache_hits": fr.cache_hits,
                 "timeouts": fr.timeouts,
-                "contexts": fr.contexts,
-                "sat_calls": fr.sat_calls,
-                "restarts": fr.restarts,
-                "blasted_clauses": fr.blasted_clauses,
-                "solver_time": round(fr.solver_time, 6),
-                "oracle_sat": fr.oracle_sat,
-                "oracle_unsat": fr.oracle_unsat,
+                **solver_block(fr),
                 "analysis_time": round(fr.analysis_time, 6),
-                "witnesses": {
-                    "confirmed": fr.witnesses_confirmed,
-                    "unconfirmed": fr.witnesses_unconfirmed,
-                    "inconclusive": fr.witnesses_inconclusive,
-                    "witness_time": round(fr.witness_time, 6),
-                },
-                "repair": {
-                    "attempted": fr.repairs_attempted,
-                    "repaired": fr.repairs_succeeded,
-                    "rejected": fr.repairs_rejected,
-                    "no_template": fr.repairs_no_template,
-                    "gate_rejections": {
-                        "equivalence": fr.repair_gate_equivalence_rejects,
-                        "recheck": fr.repair_gate_recheck_rejects,
-                        "replay": fr.repair_gate_replay_rejects,
-                    },
-                    "repair_time": round(fr.repair_time, 6),
-                },
+                "witnesses": witnesses_block(fr),
+                "repair": repair_block(fr),
             }
             for fr in report.functions
         ],
         "diagnostics": [diagnostic_to_dict(d) for d in report.bugs],
-        "queries": report.queries,
-        "cache_hits": report.cache_hits,
-        "timeouts": report.timeouts,
-        "contexts": report.contexts,
-        "sat_calls": report.sat_calls,
-        "restarts": report.restarts,
-        "blasted_clauses": report.blasted_clauses,
-        "solver_time": round(report.solver_time, 6),
-        "oracle_sat": report.oracle_sat,
-        "oracle_unsat": report.oracle_unsat,
-        "analysis_time": round(report.analysis_time, 6),
-        "witnesses_confirmed": report.witnesses_confirmed,
-        "witnesses_unconfirmed": report.witnesses_unconfirmed,
-        "witnesses_inconclusive": report.witnesses_inconclusive,
-        "witness_time": round(report.witness_time, 6),
-        "repairs_attempted": report.repairs_attempted,
-        "repairs_succeeded": report.repairs_succeeded,
-        "repairs_rejected": report.repairs_rejected,
-        "repairs_no_template": report.repairs_no_template,
-        "repair_time": round(report.repair_time, 6),
     }
+    for counter in COUNTER_NAMES:
+        if not counter.startswith("repair_gate_"):
+            value = getattr(totals, counter)
+            record[counter] = round(value, 6) if counter in TIMING_FIELDS \
+                else value
+    return record
 
 
 class JsonlResultSink:

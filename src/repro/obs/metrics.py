@@ -1,12 +1,12 @@
 """Unified metrics registry: counters, gauges, fixed-bucket histograms.
 
-This is the single accounting surface the pipeline's hand-rolled stat
-blocks (``SolverStats``, ``RunStats``, ``QueryStats``, ``ClusterStats``)
-converge on.  Three primitives:
+The accounting surface of traced runs: per-layer work counters, the
+``run.*`` totals of a finished run, and latency histograms.  Three
+primitives:
 
 * **counters** — monotonically increasing ints/floats (solver conflicts,
   propagations, restarts, blasted clauses, cache hits, oracle
-  short-circuits, per-backend race wins, …).  Merged by addition.
+  short-circuits, …).  Merged by addition.
 * **gauges** — last-write-wins point samples (workers, corpus size).
   Merged by max, which matches how ``RunStats`` already treats ``workers``.
 * **histograms** — fixed-bucket latency/size distributions (per-stage
@@ -17,11 +17,12 @@ Everything speaks one ``snapshot()``/``merge()`` protocol; snapshots are
 plain JSON-safe dicts, so they pickle across the multiprocessing fan-out
 and serialize into JSONL ``{"type": "metric"}`` records unchanged.
 
-The module also hosts the reflection helpers the legacy dataclasses now
-lean on: :func:`merge_counter_dataclass` merges *every* numeric field of a
-stats dataclass (so a newly added counter can never be silently dropped —
-``tests/test_stats_merge.py`` locks this in), and :func:`absorb_dataclass`
-lifts a stats dataclass into a registry under a name prefix.
+The module also hosts two reflection helpers for the stats dataclasses
+(``SolverStats``, ``RunStats``): :func:`merge_counter_dataclass` merges
+*every* numeric field of a stats dataclass (so a newly added counter can
+never be silently dropped — ``tests/test_stats_merge.py`` locks this in),
+and :func:`absorb_dataclass` lifts a stats dataclass into a registry under
+a name prefix.
 """
 
 from __future__ import annotations

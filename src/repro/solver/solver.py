@@ -41,8 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.metrics import (MetricsRegistry, absorb_dataclass,
-                               merge_counter_dataclass)
+from repro.obs.metrics import merge_counter_dataclass
 from repro.solver.backends import (BackendAnswer, BuiltinBackend,
                                    SolverBackend, backend_class, preanswer)
 from repro.solver.bitblast import BitBlaster
@@ -110,39 +109,6 @@ class SolverStats:
         this).
         """
         merge_counter_dataclass(self, other)
-
-    def registry(self) -> MetricsRegistry:
-        """These counters lifted into the unified metrics registry
-        (``solver.<field>`` counters)."""
-        registry = MetricsRegistry()
-        return absorb_dataclass(registry, "solver", self)
-
-    def as_dict(self) -> Dict[str, object]:
-        """Plain-JSON view used by the engine's result sink.
-
-        The legacy flat schema, read through :meth:`registry`.
-        """
-        reg = self.registry()
-        count = reg.counter
-        return {
-            "queries": int(count("solver.queries")),
-            "sat": int(count("solver.sat")),
-            "unsat": int(count("solver.unsat")),
-            "unknown": int(count("solver.unknown")),
-            "decided_by_simplification":
-                int(count("solver.decided_by_simplification")),
-            "total_time": round(count("solver.total_time"), 6),
-            "sat_calls": int(count("solver.sat_calls")),
-            "restarts": int(count("solver.restarts")),
-            "conflicts": int(count("solver.conflicts")),
-            "decisions": int(count("solver.decisions")),
-            "propagations": int(count("solver.propagations")),
-            "blasted_clauses": int(count("solver.blasted_clauses")),
-            "blast_hits": int(count("solver.blast_hits")),
-            "assumption_failures": int(count("solver.assumption_failures")),
-            "oracle_sat": int(count("solver.oracle_sat")),
-            "oracle_unsat": int(count("solver.oracle_unsat")),
-        }
 
 
 class Model:

@@ -295,6 +295,24 @@ class TestCheckerConfiguration:
         assert "unstable code" in text
         assert "null pointer dereference" in text
 
+    def test_report_describe_separates_cache_hits(self):
+        """A warm cache answers every query: none counts as solved."""
+        from repro.corpus.snippets import SNIPPETS
+        from repro.engine.cache import SolverQueryCache
+
+        cache = SolverQueryCache()
+        source = SNIPPETS[0].render("v")
+        cold = check_source(source, cache=cache)
+        warm = check_source(source, cache=cache)
+        assert warm.queries == cold.queries > 0
+        assert warm.solver_queries == 0 and warm.sat_calls == 0
+        text = warm.describe()
+        assert (f"0 queries solved, {warm.queries} cache hits, 0 timeouts"
+                in text)
+        assert "solver queries" not in text
+        assert (f"{cold.queries} queries solved, 0 cache hits"
+                in cold.describe())
+
     def test_by_algorithm_and_by_kind_breakdowns(self):
         report = check_source("""
             int f(int *p) { int x = *p; if (!p) return -1; return x; }

@@ -248,22 +248,11 @@ class TestMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Stats read-through: legacy schemas come out of the registry unchanged
+# Stats read-through: the run summary schema
 # ---------------------------------------------------------------------------
 
 
 class TestReadThrough:
-    def test_solver_stats_as_dict_via_registry(self):
-        from repro.solver.solver import SolverStats
-
-        stats = SolverStats(queries=7, sat=3, unsat=4, total_time=1.25,
-                            conflicts=5)
-        payload = stats.as_dict()
-        assert payload["queries"] == 7
-        assert payload["sat"] == 3
-        assert payload["total_time"] == 1.25
-        assert payload["conflicts"] == 5
-
     def test_run_stats_as_dict_via_registry(self):
         from repro.engine.engine import RunStats
 

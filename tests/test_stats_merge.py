@@ -1,19 +1,26 @@
-"""Every stats counter field must survive a merge (ISSUE satellite).
+"""Every stats counter survives a merge, a total and a record.
 
-The legacy merge methods used to enumerate fields by hand, so adding a
-counter to ``RunStats`` without touching ``merge`` silently dropped it on
-parallel runs.  ``merge_counter_dataclass`` now derives the field list from
-``dataclasses.fields`` — these tests synthesize distinct values for *every*
-field by reflection, merge, and check the combination, so a future counter
-that somehow escapes merging fails here by construction.
+The merge tests synthesize distinct values for *every* field of a stats
+dataclass by reflection, merge, and check the combination, so a future
+counter that escapes ``merge_counter_dataclass`` fails here by
+construction.
+
+The record counters are declared once, in ``repro.core.report.Counters``.
+The schema tests give every counter a distinct value in each function of
+two units, then check that ``BugReport.totals()`` and
+``aggregate_results`` sum each one and that the function record, the unit
+record and the run summary carry it.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.queries import QueryStats
-from repro.engine.engine import RunStats
+from repro.core.report import (COUNTER_NAMES, BugReport, Counters,
+                               FunctionReport)
+from repro.engine.engine import RunStats, aggregate_results
+from repro.engine.sink import report_to_dict
+from repro.engine.workunit import UnitResult
 from repro.obs.metrics import merge_counter_dataclass
 from repro.solver.solver import SolverStats
 
@@ -22,7 +29,6 @@ from repro.solver.solver import SolverStats
 CASES = [
     (RunStats, ("workers",)),
     (SolverStats, ()),
-    (QueryStats, ()),
 ]
 
 
@@ -89,3 +95,106 @@ def test_future_counter_fields_merge_automatically():
 def test_merge_counter_dataclass_rejects_non_dataclass():
     with pytest.raises(TypeError):
         merge_counter_dataclass(object(), object())
+
+
+# -- one counter schema ------------------------------------------------------------
+
+#: The gate rejections are broken out in function and run records only.
+GATE_COUNTERS = ("repair_gate_equivalence_rejects",
+                 "repair_gate_recheck_rejects", "repair_gate_replay_rejects")
+
+
+def counted_function(name, base):
+    """A function report whose counter number ``i`` holds ``base + i``."""
+    report = FunctionReport(function=name)
+    for offset, counter in enumerate(COUNTER_NAMES, start=1):
+        setattr(report, counter,
+                type(getattr(report, counter))(base + offset))
+    return report
+
+
+def expected_sum(reports, counter):
+    return sum(getattr(report, counter) for report in reports)
+
+
+def leaves(record):
+    """Every scalar value of a JSON record, nested blocks included."""
+    if isinstance(record, dict):
+        return [leaf for value in record.values() for leaf in leaves(value)]
+    if isinstance(record, list):
+        return [leaf for value in record for leaf in leaves(value)]
+    return [record]
+
+
+@pytest.fixture
+def units():
+    first = BugReport(module="first", functions=[
+        counted_function("f", 1000), counted_function("g", 2000)])
+    second = BugReport(module="second",
+                       functions=[counted_function("h", 4000)])
+    return [UnitResult(name="first", report=first),
+            UnitResult(name="second", report=second)]
+
+
+def test_counters_are_declared_once():
+    assert COUNTER_NAMES == tuple(field.name for field
+                                  in dataclasses.fields(Counters))
+    assert len(COUNTER_NAMES) == 23
+    assert issubclass(FunctionReport, Counters)
+    assert issubclass(RunStats, Counters)
+    for name in ("function", "diagnostics", "suppressed_compiler_origin",
+                 "cluster_propagated"):
+        assert name not in COUNTER_NAMES
+
+
+def test_totals_sum_every_counter(units):
+    report = units[0].report
+    totals = report.totals()
+    for counter in COUNTER_NAMES:
+        want = expected_sum(report.functions, counter)
+        assert getattr(totals, counter) == want, counter
+        assert getattr(report, counter) == want, counter
+    assert report.solver_queries == totals.queries - totals.cache_hits
+    assert report.witnesses_validated == (totals.witnesses_confirmed
+                                          + totals.witnesses_unconfirmed
+                                          + totals.witnesses_inconclusive)
+    with pytest.raises(AttributeError):
+        report.not_a_counter
+
+
+def test_aggregate_results_sums_every_counter(units):
+    functions = [fr for unit in units for fr in unit.report.functions]
+    stats = aggregate_results(units, wall_clock=1.0)
+    assert (stats.units, stats.functions) == (2, 3)
+    for counter in COUNTER_NAMES:
+        assert getattr(stats, counter) == expected_sum(functions, counter), \
+            counter
+    assert stats.solver_queries == stats.queries - stats.cache_hits
+
+
+def test_function_records_carry_every_counter(units):
+    for unit in units:
+        record = report_to_dict(unit.name, unit.report)
+        for function, report in zip(record["functions"],
+                                    unit.report.functions):
+            values = leaves(function)
+            for counter in COUNTER_NAMES:
+                assert getattr(report, counter) in values, counter
+
+
+def test_unit_record_carries_every_counter_but_gate_rejections(units):
+    report = units[0].report
+    record = report_to_dict("first", report)
+    for counter in COUNTER_NAMES:
+        if counter in GATE_COUNTERS:
+            assert counter not in record
+        else:
+            assert record[counter] == expected_sum(report.functions,
+                                                   counter), counter
+
+
+def test_run_summary_carries_every_counter(units):
+    functions = [fr for unit in units for fr in unit.report.functions]
+    values = leaves(aggregate_results(units, wall_clock=1.0).as_dict())
+    for counter in COUNTER_NAMES:
+        assert expected_sum(functions, counter) in values, counter
