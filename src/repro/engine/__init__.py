@@ -1,10 +1,11 @@
 """repro.engine — the parallel corpus-checking engine.
 
 Scales the per-function :class:`~repro.core.checker.StackChecker` up to
-archive-sized corpora (the paper's §6.5 workload): a ``multiprocessing``
-fan-out over picklable work units, a content-addressed solver-query cache
-shared across functions / workers / runs, per-query budget escalation for
-functions that time out, and a streaming JSONL result sink.
+archive-sized corpora (the paper's §6.5 workload): a warm worker pool
+(shared with the checking daemon) over picklable work units, a
+content-addressed solver-query cache shared across functions / workers /
+runs, per-query budget escalation for functions that time out, and a
+streaming JSONL result sink.
 
 Attribute access is lazy (mirroring :mod:`repro`) so that lightweight
 pieces — notably :mod:`repro.engine.cache`, which :mod:`repro.core.queries`

@@ -3,18 +3,20 @@
 The paper's headline experiment runs the checker over the entire Debian
 Wheezy archive (§6.5, Figure 16).  :class:`CheckEngine` is the substrate for
 that workload in this reproduction: it takes a corpus of translation units,
-fans one work unit per unit out over a ``multiprocessing`` pool, shares a
+fans one work unit per unit out over a warm worker pool
+(:mod:`repro.engine.pool`, the pool the checking daemon runs on), shares a
 content-addressed solver-query cache across units / workers / runs, retries
 functions that blow the per-query budget under an escalated budget, and
 streams per-unit results to a JSONL sink together with run-level statistics.
 
 Sequential mode (``workers <= 1``) runs everything in-process with identical
 semantics — it is the reference the parallel path is tested against.
+Parallel runs send unit *i* to worker *i mod N* and write unit records in
+submission order, so their counters repeat run to run.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -33,11 +35,6 @@ from repro.obs.trace import Span, graft, span_payloads
 #: Anything convertible into a WorkUnit: the unit itself, a (name, source)
 #: pair, bare source text, or a lowered IR module.
 UnitLike = Union[WorkUnit, Tuple[str, str], str, Module]
-
-
-def _default_start_method() -> str:
-    """"fork" where available (fast), "spawn" elsewhere (Windows/macOS)."""
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
 
 
 @dataclass
@@ -62,8 +59,6 @@ class EngineConfig:
     #: Chrome trace-event JSON written after the run (implies tracing; load
     #: it in Perfetto / chrome://tracing).  See docs/OBSERVABILITY.md.
     trace_path: Optional[str] = None
-    #: ``multiprocessing`` start method ("fork" where available, else "spawn").
-    start_method: str = field(default_factory=_default_start_method)
 
 
 @dataclass
@@ -201,39 +196,6 @@ class EngineResult:
         return merged
 
 
-# -- worker-process plumbing --------------------------------------------------------
-#
-# Workers are initialized once with the checker config and a snapshot of the
-# parent's cache, then receive (index, unit) pairs.  Each result carries the
-# cache entries that worker discovered so the parent can absorb them into
-# the authoritative cache (and re-seed future runs / flush to disk).
-
-_WORKER_CONFIG: Optional[CheckerConfig] = None
-_WORKER_CACHE: Optional[SolverQueryCache] = None
-_WORKER_ESCALATION: Tuple[float, ...] = ()
-
-
-def _worker_init(config: CheckerConfig, cache_seed: Optional[List[dict]],
-                 cache_capacity: int,
-                 escalation_factors: Tuple[float, ...]) -> None:
-    global _WORKER_CONFIG, _WORKER_CACHE, _WORKER_ESCALATION
-    _WORKER_CONFIG = config
-    _WORKER_ESCALATION = escalation_factors
-    if cache_seed is None:
-        _WORKER_CACHE = None
-    else:
-        _WORKER_CACHE = SolverQueryCache(capacity=cache_capacity)
-        _WORKER_CACHE.seed(cache_seed)
-
-
-def _worker_check(payload: Tuple[int, WorkUnit]) -> Tuple[int, UnitResult]:
-    index, unit = payload
-    result = check_work_unit(unit, _WORKER_CONFIG, cache=_WORKER_CACHE,
-                             escalation_factors=_WORKER_ESCALATION,
-                             drain_cache=True)
-    return index, result
-
-
 class CheckEngine:
     """Checks corpora of translation units at scale."""
 
@@ -336,13 +298,7 @@ class CheckEngine:
                 drain_cache=False)
             result.trace = result.meta.pop("obs", None)
             results.append(result)
-            if collected is not None:
-                collected.append(result)
-            if sink is not None:
-                sink.write_unit(result.name, result.report,
-                                attempts=result.attempts,
-                                escalated=result.escalated, error=result.error,
-                                meta=result.meta)
+            self._record(result, sink, collected)
         return results
 
     def _run_parallel(self, work: List[WorkUnit],
@@ -350,32 +306,29 @@ class CheckEngine:
                       config: Optional[CheckerConfig] = None,
                       collected: Optional[List[UnitResult]] = None,
                       ) -> List[UnitResult]:
-        checker = config if config is not None else self.config.checker
-        workers = min(self.config.workers, len(work))
-        cache_seed = self.cache.snapshot() if self.cache is not None else None
-        context = multiprocessing.get_context(self.config.start_method)
+        from repro.engine.pool import WarmWorkerPool
+
         ordered: List[Optional[UnitResult]] = [None] * len(work)
-        with context.Pool(
-            processes=workers,
-            initializer=_worker_init,
-            initargs=(checker, cache_seed,
-                      self.config.cache_capacity,
-                      self.config.escalation_factors),
-        ) as pool:
-            payloads = list(enumerate(work))
-            for index, result in pool.imap_unordered(_worker_check, payloads):
-                if self.cache is not None and result.cache_entries:
-                    self.cache.absorb(result.cache_entries)
-                result.cache_entries = []
-                result.trace = result.meta.pop("obs", None)
-                ordered[index] = result
-                if collected is not None:
-                    collected.append(result)
-                if sink is not None:
-                    sink.write_unit(result.name, result.report,
-                                    attempts=result.attempts,
-                                    escalated=result.escalated,
-                                    error=result.error, meta=result.meta)
+        written = 0
+        with WarmWorkerPool(
+                workers=min(self.config.workers, len(work)),
+                checker=config if config is not None else self.config.checker,
+                cache=self.cache, cache_capacity=self.config.cache_capacity,
+                escalation_factors=self.config.escalation_factors) as pool:
+            # Submitting everything before the first collect() sends unit i
+            # to worker i mod N, so every worker's cache sees a fixed run.
+            for index, unit in enumerate(work):
+                pool.submit(str(index), unit)
+            while pool.outstanding:
+                for event in pool.collect():
+                    if event.kind == "retried":    # no outcome yet
+                        continue
+                    event.result.trace = event.result.meta.pop("obs", None)
+                    ordered[int(event.task_id)] = event.result
+                while written < len(work) and ordered[written] is not None:
+                    self._record(ordered[written], sink, collected)
+                    written += 1
+            pool.close()
         return [result for result in ordered if result is not None]
 
     def _run_clustered(self, work: List[WorkUnit],
@@ -471,19 +424,25 @@ class CheckEngine:
                                 attempts=attempts, escalated=escalated,
                                 error=error, meta=dict(unit.meta))
             results.append(result)
-            if collected is not None:
-                collected.append(result)
-            if sink is not None:
-                sink.write_unit(result.name, result.report,
-                                attempts=result.attempts,
-                                escalated=result.escalated,
-                                error=result.error, meta=result.meta)
+            self._record(result, sink, collected)
         if sink is not None:
             for record in records:
                 sink.write_record(record)
         return results, cluster_stats
 
     # -- helpers --------------------------------------------------------------------
+
+    @staticmethod
+    def _record(result: UnitResult, sink: Optional[JsonlResultSink],
+                collected: Optional[List[UnitResult]]) -> None:
+        """Hand one finished unit to the interrupt log and the JSONL sink."""
+        if collected is not None:
+            collected.append(result)
+        if sink is not None:
+            sink.write_unit(result.name, result.report,
+                            attempts=result.attempts,
+                            escalated=result.escalated, error=result.error,
+                            meta=result.meta)
 
     @staticmethod
     def _coerce(unit: UnitLike, index: int) -> WorkUnit:

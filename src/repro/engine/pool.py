@@ -1,30 +1,38 @@
-"""Warm worker pool: resident checker processes that outlive jobs.
+"""Warm worker pool: resident checker processes that outlive their tasks.
 
-A cold ``python -m repro check`` pays interpreter boot, module imports,
-corpus loading, and an empty solver-query cache on every invocation.  The
-daemon amortizes all of that: each :class:`WarmWorkerPool` worker is a
-long-lived process that imports the pipeline once, keeps its
+One pool runs every multi-process check.
+:class:`~repro.engine.engine.CheckEngine` starts one per parallel run and
+submits the whole corpus up front; the checking daemon (:mod:`repro.serve`)
+holds one resident across jobs.  Each :class:`WarmWorkerPool` worker is a long-lived process that
+imports the pipeline once, keeps its own
 :class:`~repro.engine.cache.SolverQueryCache` (and with it every blast memo
-the cache fronts) resident across jobs, and accepts work units one at a
-time over its own task queue.  A unit structurally identical to anything
-any previous job checked answers straight from the warm cache — no
-bit-blasting, no CDCL.
+the cache fronts) across every task it runs, and accepts work units one at
+a time over its own task queue.  Workers are seeded from the parent's cache
+when they spawn; a pool built without a cache checks without one.
+
+Dispatch is least-loaded with ties to the lowest worker id, so a batch
+submitted before the first :meth:`~WarmWorkerPool.collect` sends task *i*
+to worker *i mod N*: each worker's cache sees a fixed sequence of units,
+and per-unit counters repeat run to run.
 
 Robustness contract (exercised by ``tests/test_serve.py``):
 
-* **Worker death is survivable.**  Each worker announces tasks as it starts
-  them, so the parent always knows what a worker was holding.  When a
-  worker dies mid-unit, its in-flight and queued tasks are resubmitted to
-  surviving workers (up to ``max_retries`` per task, then reported failed),
-  a replacement worker is spawned seeded from the authoritative cache, and
-  the run completes with deterministic records for every surviving unit —
-  no hang, no lost task, no duplicate result (first completion wins).
+* **Worker death is survivable.**  Workers run their queue first in,
+  first out, so the first task assigned to a dead worker is the one it was
+  running.  That task alone is charged a retry (up to ``max_retries``, then
+  reported ``failed``); the tasks queued behind it never started and move
+  to live workers free of charge.  A replacement worker is spawned seeded
+  from the authoritative cache, and the run completes with records for
+  every surviving unit — no hang, no lost task, no duplicate result
+  (first completion wins).
+* **Workers ignore SIGINT.**  Ctrl-C reaches the whole foreground process
+  group; the parent owns shutdown, through sentinels or ``terminate()``.
 * **Graceful shutdown.**  ``close(drain=True)`` lets every queued task
   finish, collects the final cache entries, then stops workers via
-  sentinels; ``close(drain=False)`` terminates immediately.
+  sentinels; ``close(drain=False)`` terminates them at once.
 
-The pool is transport-agnostic: the daemon drives it, but tests drive it
-directly.  Task identifiers are caller-chosen opaque strings.
+The pool is transport-agnostic: the engine and the daemon drive it, and
+tests drive it directly.  Task identifiers are caller-chosen opaque strings.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_module
+import signal
 import threading
 import time
 from collections import deque
@@ -51,6 +60,16 @@ TEST_HOOKS_ENV = "REPRO_SERVE_TEST_HOOKS"
 #: process die mid-unit — the worker-death regression tests' crash lever.
 CRASH_META_KEY = "__serve_crash__"
 
+#: "fork" where available (fast), "spawn" elsewhere (Windows/macOS).
+_START_METHOD = "fork" \
+    if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+
+
+def _error_result(unit: WorkUnit, error: str) -> UnitResult:
+    """The result of a unit that produced no report."""
+    return UnitResult(name=unit.name, report=BugReport(module=unit.name),
+                      error=error, meta=dict(unit.meta))
+
 
 def _worker_main(worker_id: int, task_queue, result_queue,
                  checker: CheckerConfig, cache_seed: Optional[List[dict]],
@@ -60,10 +79,17 @@ def _worker_main(worker_id: int, task_queue, result_queue,
     The cache constructed here is the worker's warm state: it persists
     across every task the worker ever runs.  Discovered entries are drained
     into each result so the parent can absorb them into the authoritative
-    cache (and seed future replacement workers from it).
+    cache (and seed future replacement workers from it).  A ``None`` seed
+    means the parent has no cache, and the worker then checks without one.
     """
-    cache = SolverQueryCache(capacity=cache_capacity)
-    if cache_seed:
+    # Ctrl-C signals the whole process group; the parent decides what stops.
+    # A forked worker also inherits the parent's SIGTERM handler, which must
+    # not turn terminate() into an exception the loop below would swallow.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    cache = None
+    if cache_seed is not None:
+        cache = SolverQueryCache(capacity=cache_capacity)
         cache.seed(cache_seed)
     while True:
         task = task_queue.get()
@@ -80,10 +106,7 @@ def _worker_main(worker_id: int, task_queue, result_queue,
                                      escalation_factors=escalation,
                                      drain_cache=True)
         except BaseException as exc:      # a bad unit must not kill the worker
-            result = UnitResult(name=unit.name,
-                                report=BugReport(module=unit.name),
-                                error=f"{type(exc).__name__}: {exc}",
-                                meta=dict(unit.meta))
+            result = _error_result(unit, f"{type(exc).__name__}: {exc}")
         result_queue.put(("done", worker_id, task_id, result))
 
 
@@ -93,7 +116,6 @@ class _Task:
     unit: WorkUnit
     config: Optional[CheckerConfig]
     worker_id: int = -1
-    started: bool = False
     retries: int = 0
 
 
@@ -101,8 +123,9 @@ class _Task:
 class PoolEvent:
     """One observable pool outcome, returned by :meth:`WarmWorkerPool.collect`.
 
-    ``kind`` is ``"done"`` (``result`` set), ``"failed"`` (``error`` set:
-    the task exhausted its retries on dying workers), or ``"retried"``
+    ``kind`` is ``"done"`` (``result`` set), ``"failed"`` (the task
+    exhausted its retries on dying workers: ``error`` says so, and
+    ``result`` is an error result for the unit), or ``"retried"``
     (informational: the task was resubmitted after a worker death).
     """
 
@@ -121,15 +144,11 @@ class WarmWorkerPool:
                  cache: Optional[SolverQueryCache] = None,
                  cache_capacity: int = 100_000,
                  escalation_factors: Tuple[float, ...] = (4.0, 16.0),
-                 start_method: Optional[str] = None,
                  max_retries: int = 1,
                  completed_history: int = 4096,
                  ops: Optional[Ops] = None) -> None:
         if workers <= 0:
             raise ValueError("a warm pool needs at least one worker")
-        if start_method is None:
-            start_method = "fork" \
-                if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         self.workers = workers
         self.checker = checker if checker is not None else CheckerConfig()
         self.cache = cache
@@ -138,7 +157,7 @@ class WarmWorkerPool:
         self.max_retries = max_retries
         self.deaths = 0                       # workers lost over the lifetime
         self.ops = ops                        # operational event sink (or None)
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(_START_METHOD)
         self._result_queue = self._context.Queue()
         self._processes: Dict[int, multiprocessing.process.BaseProcess] = {}
         self._task_queues: Dict[int, object] = {}
@@ -243,7 +262,6 @@ class WarmWorkerPool:
         worker_id = min(self._assigned,
                         key=lambda wid: (len(self._assigned[wid]), wid))
         task.worker_id = worker_id
-        task.started = False
         self._assigned[worker_id].append(task.task_id)
         self._task_queues[worker_id].put((task.task_id, task.unit, task.config))
 
@@ -279,9 +297,6 @@ class WarmWorkerPool:
     def _handle_message(self, message) -> List[PoolEvent]:
         kind, worker_id, task_id, payload = message
         if kind == "start":
-            task = self._tasks.get(task_id)
-            if task is not None and task.worker_id == worker_id:
-                task.started = True
             if worker_id in self._worker_state:
                 self._worker_state[worker_id] = "busy"
             self._emit("debug", "task-started", worker=worker_id,
@@ -336,18 +351,24 @@ class WarmWorkerPool:
                 # "restarts" answers "how many processes has this slot
                 # burned", not "how often was this specific pid replaced".
                 self._spawn_worker(restarts=dead_restarts + 1)
-            for task in orphaned:
-                if task.retries >= self.max_retries:
-                    del self._tasks[task.task_id]
-                    self._mark_completed(task.task_id)
-                    self._emit("error", "task-failed", task=task.task_id,
-                               worker=worker_id, retries=task.retries)
-                    events.append(PoolEvent(
-                        kind="failed", task_id=task.task_id,
-                        error=f"worker {worker_id} died "
-                              f"({task.retries} retries exhausted)",
-                        worker_id=worker_id))
-                    continue
+            if not orphaned:
+                continue
+            # Workers run their queue in order, so only the first orphan
+            # was running when the worker died; the rest never started and
+            # move to live workers without being charged a retry.
+            task, queued = orphaned[0], orphaned[1:]
+            if task.retries >= self.max_retries:
+                del self._tasks[task.task_id]
+                self._mark_completed(task.task_id)
+                self._emit("error", "task-failed", task=task.task_id,
+                           worker=worker_id, retries=task.retries)
+                error = (f"worker {worker_id} died "
+                         f"({task.retries} retries exhausted)")
+                events.append(PoolEvent(
+                    kind="failed", task_id=task.task_id,
+                    result=_error_result(task.unit, error), error=error,
+                    worker_id=worker_id))
+            else:
                 task.retries += 1
                 # A crash-looping unit must not kill its replacement too.
                 if task.unit.meta.get(CRASH_META_KEY):
@@ -358,6 +379,8 @@ class WarmWorkerPool:
                            worker=worker_id, retries=task.retries)
                 events.append(PoolEvent(kind="retried", task_id=task.task_id,
                                         worker_id=worker_id))
+            for task in queued:
+                self._dispatch(task)
         return events
 
     def drain(self, on_event: Optional[Callable[[PoolEvent], None]] = None,
@@ -373,20 +396,27 @@ class WarmWorkerPool:
         return collected
 
     def close(self, drain: bool = True, timeout: float = 30.0) -> None:
-        """Stop every worker; with ``drain``, let queued tasks finish first."""
+        """Stop every worker: with ``drain``, let queued tasks finish and
+        stop workers via sentinels; without, terminate them at once."""
         if self._closed:
             return
         if drain:
             self.drain(timeout=timeout)
         self._closed = True
-        for worker_id, task_queue in self._task_queues.items():
+        for task_queue in self._task_queues.values():
+            if not drain:
+                # Tasks still buffered for a worker about to be terminated
+                # must not hold up interpreter exit.
+                task_queue.cancel_join_thread()
+                continue
             try:
                 task_queue.put(None)
             except (ValueError, OSError):
                 pass
         deadline = time.monotonic() + timeout
         for process in list(self._processes.values()):
-            process.join(timeout=max(0.1, deadline - time.monotonic()))
+            if drain:
+                process.join(timeout=max(0.1, deadline - time.monotonic()))
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=1.0)

@@ -6,8 +6,9 @@ boundary) or an already-lowered IR module.  :func:`check_work_unit` is the
 pure function a worker runs: compile if needed, check every function, and
 retry with an escalated per-query budget while any function still blows it.
 Everything it takes and returns pickles, which is what lets
-:class:`~repro.engine.engine.CheckEngine` fan units out over a
-``multiprocessing`` pool.
+:class:`~repro.engine.engine.CheckEngine` and the checking daemon fan
+units out over the worker processes of
+:class:`~repro.engine.pool.WarmWorkerPool`.
 
 Each function is checked through incremental solver contexts (see
 :mod:`repro.core.queries`); the per-function :class:`FunctionReport`

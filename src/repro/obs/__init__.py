@@ -4,7 +4,7 @@ Three layers:
 
 * :mod:`repro.obs.trace` — hierarchical spans with deterministic ids,
   a process-local tracer, and graft-based reassembly across the
-  multiprocessing fan-out;
+  worker-process fan-out;
 * :mod:`repro.obs.metrics` — counters/gauges/histograms behind one
   ``snapshot()``/``merge()`` protocol, plus the reflection helpers the
   legacy ``SolverStats``/``RunStats`` merges route through;

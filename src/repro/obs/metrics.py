@@ -14,7 +14,7 @@ primitives:
   registries recording the same series always merge bucket-by-bucket.
 
 Everything speaks one ``snapshot()``/``merge()`` protocol; snapshots are
-plain JSON-safe dicts, so they pickle across the multiprocessing fan-out
+plain JSON-safe dicts, so they pickle across the worker-process fan-out
 and serialize into JSONL ``{"type": "metric"}`` records unchanged.
 
 The module also hosts two reflection helpers for the stats dataclasses

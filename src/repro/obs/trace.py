@@ -17,7 +17,7 @@ are load-bearing:
   parallel timing rows, and the Chrome-trace exporter
   (:mod:`repro.obs.chrometrace`) joins them back together.
 
-The process-local :class:`Tracer` survives the engine's multiprocessing
+The process-local :class:`Tracer` survives the engine's worker-process
 fan-out by *not* trying to: each worker runs its unit under its own tracer
 (:func:`repro.engine.workunit.check_work_unit`), serializes the finished
 spans through the existing ``UnitResult.meta`` channel, and the parent

@@ -17,7 +17,7 @@ warm-vs-cold latency story.
 
 from repro.serve.client import (JobHandle, ServeClient, ServeError,
                                 SubmitRejected, check_via_server)
-from repro.serve.pool import PoolEvent, WarmWorkerPool
+from repro.engine.pool import PoolEvent, WarmWorkerPool
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.serve.scheduler import AdmissionError, Job, JobScheduler
 from repro.serve.server import ServeConfig, ServeServer

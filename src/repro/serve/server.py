@@ -5,7 +5,7 @@ it listens on a local stream socket for line-delimited JSON jobs
 (:mod:`repro.serve.protocol`), schedules their units deterministically
 across clients (:mod:`repro.serve.scheduler`), runs them on a pool of warm
 worker processes whose solver-query caches persist across jobs
-(:mod:`repro.serve.pool`), and streams per-unit results back to each
+(:mod:`repro.engine.pool`), and streams per-unit results back to each
 client — engine-schema records, in unit-submission order, one stream per
 job — with scheduler-level backpressure for slow consumers.
 
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.checker import CheckerConfig
-from repro.core.report import BugReport
 from repro.engine.cache import SolverQueryCache
 from repro.engine.engine import aggregate_results
 from repro.engine.sink import JsonlResultSink, report_to_dict
@@ -45,15 +44,8 @@ from repro.obs.ops import EventLog, Ops
 from repro.obs.promexport import render_prometheus, write_metrics_file
 from repro.obs.trace import Span, graft
 from repro.serve import protocol
-from repro.serve.pool import PoolEvent, WarmWorkerPool
+from repro.engine.pool import PoolEvent, WarmWorkerPool
 from repro.serve.scheduler import AdmissionError, Job, JobScheduler
-
-
-def _default_start_method() -> str:
-    import multiprocessing
-
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() \
-        else "spawn"
 
 
 @dataclass
@@ -90,8 +82,6 @@ class ServeConfig:
     escalation_factors: Tuple[float, ...] = (4.0, 16.0)
     #: Chrome trace-event JSON written on drain (implies tracing).
     trace_path: Optional[str] = None
-    #: ``multiprocessing`` start method for the worker pool.
-    start_method: str = field(default_factory=_default_start_method)
     #: Structured JSONL event log (None = events feed only the flight
     #: recorder's in-memory ring).  See docs/OBSERVABILITY.md.
     log_path: Optional[str] = None
@@ -223,8 +213,7 @@ class ServeServer:
         self._pool = WarmWorkerPool(
             workers=self.config.workers, checker=self.config.checker,
             cache=self.cache, cache_capacity=self.config.cache_capacity,
-            escalation_factors=self.config.escalation_factors,
-            start_method=self.config.start_method, ops=self.ops)
+            escalation_factors=self.config.escalation_factors, ops=self.ops)
         path = self.config.socket_path
         if os.path.exists(path):
             os.unlink(path)
@@ -617,14 +606,10 @@ class ServeServer:
             return
         job_id, _, index_text = event.task_id.rpartition(":")
         index = int(index_text)
+        result = event.result
+        result.trace = result.meta.pop("obs", None)
         if event.kind == "failed":
-            result = UnitResult(name=f"{job_id}[{index}]",
-                                report=BugReport(module=job_id),
-                                error=event.error)
             self.metrics.inc("serve.units_failed")
-        else:
-            result = event.result
-            result.trace = result.meta.pop("obs", None)
         slow_queries = result.slow_queries
         result.slow_queries = []
         for slow in slow_queries:

@@ -64,6 +64,11 @@ def parallel_run():
 
 
 @pytest.fixture(scope="module")
+def parallel_rerun():
+    return check_corpus(corpus_units(), workers=2)
+
+
+@pytest.fixture(scope="module")
 def warm_run(cache_file, cold_run):
     return check_corpus(corpus_units(), workers=2, cache_path=cache_file)
 
@@ -341,6 +346,56 @@ def test_parallel_matches_sequential(cold_run, parallel_run):
     assert diagnostics_signature(parallel_run) == diagnostics_signature(cold_run)
     assert parallel_run.stats.units == cold_run.stats.units
     assert parallel_run.stats.diagnostics == cold_run.stats.diagnostics
+    assert [r.name for r in parallel_run.results] == \
+        [name for name, _ in corpus_units()]
+
+
+def test_parallel_counters_repeat(parallel_run, parallel_rerun):
+    """Unit i always runs on worker i mod N after the same units, so each
+    worker's cache replays the same queries in every cold run."""
+    def counters(run):
+        return [(r.name, r.report.cache_hits, r.report.solver_queries)
+                for r in run.results]
+
+    assert counters(parallel_run) == counters(parallel_rerun)
+    assert parallel_run.stats.solver_queries == \
+        parallel_rerun.stats.solver_queries
+
+
+def test_parallel_unit_records_stream_in_submission_order(tmp_path):
+    """With the cache off the records of a 2-worker run equal the
+    sequential run's line for line, without sorting."""
+    from repro.engine.sink import verdict_view
+
+    def unit_lines(workers):
+        path = tmp_path / f"workers{workers}.jsonl"
+        CheckEngine(EngineConfig(workers=workers, cache_enabled=False,
+                                 results_path=str(path))
+                    ).check_corpus(corpus_units())
+        records = [json.loads(line) for line
+                   in path.read_text(encoding="utf-8").splitlines()]
+        return [json.dumps(verdict_view(record)) for record in records
+                if record["type"] == "unit"]
+
+    sequential = unit_lines(0)
+    assert len(sequential) == len(corpus_units())
+    assert unit_lines(2) == sequential
+
+
+def test_parallel_run_survives_worker_death(monkeypatch):
+    from repro.engine.pool import CRASH_META_KEY, TEST_HOOKS_ENV
+
+    monkeypatch.setenv(TEST_HOOKS_ENV, "1")
+    units = [WorkUnit(name=name, source=source)
+             for name, source in corpus_units()[:6]]
+    units[1].meta[CRASH_META_KEY] = True
+    result = CheckEngine(EngineConfig(workers=2)).check_corpus(units)
+    assert [r.name for r in result.results] == [u.name for u in units]
+    assert all(r.ok for r in result.results)
+    assert result.stats.failed_units == 0
+    # The pool strips the crash lever when it retries the unit, so its
+    # absence shows the worker really died.
+    assert CRASH_META_KEY not in result.results[1].meta
 
 
 def test_warm_cache_issues_strictly_fewer_solver_queries(cold_run, warm_run):

@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro.core.checker import CheckerConfig
+from repro.engine.pool import CRASH_META_KEY, TEST_HOOKS_ENV, WarmWorkerPool
 from repro.engine.workunit import WorkUnit, check_work_unit
 from repro.obs.flightrec import FlightRecorder, validate_flight_record
 from repro.obs.metrics import MetricsRegistry
@@ -29,7 +30,6 @@ from repro.obs.promexport import (
     validate_prometheus_text,
     write_metrics_file,
 )
-from repro.serve.pool import CRASH_META_KEY, TEST_HOOKS_ENV, WarmWorkerPool
 from repro.serve.top import render_dashboard
 
 UNSTABLE = "int f(int x) { if (x + 1 > x) return 1; return 0; }"

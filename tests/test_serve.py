@@ -19,10 +19,10 @@ import time
 import pytest
 
 from repro.core.checker import CheckerConfig
+from repro.engine.pool import CRASH_META_KEY, TEST_HOOKS_ENV, WarmWorkerPool
 from repro.engine.sink import verdict_view
 from repro.engine.workunit import UnitResult, WorkUnit
 from repro.serve import protocol
-from repro.serve.pool import CRASH_META_KEY, TEST_HOOKS_ENV, WarmWorkerPool
 from repro.serve.scheduler import AdmissionError, JobScheduler
 from repro.serve.client import ServeClient, ServeError, SubmitRejected
 from repro.serve.server import ServeConfig, ServeServer
@@ -325,6 +325,51 @@ def test_pool_reports_failed_after_retries_exhausted(monkeypatch):
         assert len(failed) == 1 and failed[0].task_id == "boom"
         assert "died" in failed[0].error
         assert pool.outstanding == 0          # no hang: the task resolved
+    finally:
+        pool.close(drain=False)
+
+
+def test_pool_charges_only_the_running_task_for_a_worker_death(monkeypatch):
+    """A task queued behind a crashing unit never started: it moves to the
+    replacement worker without being charged a retry."""
+    monkeypatch.setenv(TEST_HOOKS_ENV, "1")
+    pool = WarmWorkerPool(workers=1, max_retries=0)
+    try:
+        pool.submit("boom", WorkUnit(name="boom", source=STABLE,
+                                     meta={CRASH_META_KEY: True}))
+        pool.submit("bystander", WorkUnit(name="bystander", source=STABLE))
+        events = pool.drain(timeout=120.0)
+        assert sorted((e.kind, e.task_id) for e in events) == \
+            [("done", "bystander"), ("failed", "boom")]
+        failed = next(e for e in events if e.kind == "failed")
+        assert failed.result.name == "boom"
+        assert failed.result.error == failed.error
+        done = next(e for e in events if e.kind == "done")
+        assert done.result.error is None
+        assert pool.deaths == 1
+        assert pool.outstanding == 0
+    finally:
+        pool.close(drain=False)
+
+
+def test_pool_workers_ignore_sigint():
+    """Ctrl-C reaches every process in the foreground group; a busy worker
+    must neither turn it into an error record nor die of it."""
+    pool = WarmWorkerPool(workers=1)
+    try:
+        for index in range(4):
+            pool.submit(f"t{index}", WorkUnit(name=f"t{index}",
+                                              source=UNSTABLE))
+        events = []
+        deadline = time.monotonic() + 120.0
+        while not events and time.monotonic() < deadline:
+            events.extend(e for e in pool.collect() if e.kind == "done")
+        os.kill(pool.worker_pids[0], signal.SIGINT)
+        events.extend(pool.drain(timeout=120.0))
+        assert sorted(e.task_id for e in events) == ["t0", "t1", "t2", "t3"]
+        assert all(e.kind == "done" and e.result.error is None
+                   for e in events)
+        assert pool.deaths == 0
     finally:
         pool.close(drain=False)
 
