@@ -103,10 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-incremental", action="store_true",
                         help="solve every query from scratch instead of "
                              "batching into incremental contexts")
-    parser.add_argument("--backend", metavar="NAME", default=None,
+    parser.add_argument("--backend", metavar="NAME", default="builtin",
                         help="route solver queries through one named SAT "
                              "backend: builtin, pysat, or dimacs "
-                             "(default: the direct in-process path)")
+                             "(default: builtin, the in-process CDCL)")
     parser.add_argument("--trace", metavar="OUT.json", default=None,
                         help="record hierarchical spans for every stage and "
                              "solver query and write a Chrome trace-event "
@@ -639,7 +639,7 @@ def check_main(argv: Optional[List[str]] = None) -> int:
 
     tracer = None
     if args.trace is not None:
-        from repro.obs import Tracer, tracing
+        from repro.obs.trace import Tracer, tracing
 
         tracer = Tracer(name="run")
     try:
@@ -653,7 +653,8 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         return 2
 
     if tracer is not None:
-        from repro.obs import render_profile, write_chrome_trace
+        from repro.obs.chrometrace import write_chrome_trace
+        from repro.obs.report import render_profile
 
         write_chrome_trace(args.trace, tracer.root,
                            metrics=tracer.metrics.snapshot()["counters"])

@@ -102,10 +102,9 @@ class CheckerConfig:
     #: per cluster, and propagate solver-confirmed verdicts to the other
     #: members (docs/CLUSTER.md).
     cluster: bool = False
-    #: Route solver queries through one named backend ("builtin", "pysat",
-    #: "dimacs"); None keeps the direct in-process CDCL path
-    #: (docs/SOLVER.md).
-    backend: Optional[str] = None
+    #: The SAT backend every solver query goes to: "builtin" (in-process
+    #: CDCL), "pysat" or "dimacs" (docs/SOLVER.md).
+    backend: str = "builtin"
     #: Record hierarchical spans + metrics for every stage and solver query
     #: (repro.obs; CLI: ``--trace OUT.json``).  Span identities are
     #: deterministic — see docs/OBSERVABILITY.md.

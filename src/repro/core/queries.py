@@ -159,7 +159,7 @@ class QueryContext:
                 engine.cache.store(key, verdict, timeout=engine.timeout,
                                    max_conflicts=engine.max_conflicts,
                                    elapsed=elapsed)
-            note_query(key, verdict, elapsed, engine.backend or "builtin")
+            note_query(key, verdict, elapsed, engine.backend)
             query_span.set_arg("verdict", verdict)
             return engine._record(verdict)
 
@@ -180,7 +180,7 @@ class QueryEngine:
                  max_conflicts: Optional[int] = 50_000,
                  cache: Optional["SolverQueryCache"] = None,
                  incremental: bool = True,
-                 backend: Optional[str] = None) -> None:
+                 backend: str = "builtin") -> None:
         self.encoder = encoder
         self.timeout = timeout
         self.max_conflicts = max_conflicts

@@ -17,92 +17,9 @@ Three layers:
   :mod:`repro.obs.flightrec` (crash flight recorder) — the pieces the
   serve daemon wires together.
 
+Import from the submodules: this package re-exports nothing, so importing
+one layer (say :mod:`repro.obs.trace` on the check path) does not load the
+exporters or the daemon's operational pieces.
+
 See ``docs/OBSERVABILITY.md`` for the user-facing guide.
 """
-
-from repro.obs.chrometrace import (
-    chrome_trace_document,
-    chrome_trace_events,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Histogram,
-    MetricsRegistry,
-    absorb_dataclass,
-    config_snapshot,
-    merge_counter_dataclass,
-)
-from repro.obs.flightrec import FlightRecorder, validate_flight_record
-from repro.obs.ops import (
-    EventLog,
-    Ops,
-    SlowQueryRecorder,
-    note_query,
-    validate_log_record,
-)
-from repro.obs.promexport import (
-    parse_prometheus,
-    render_prometheus,
-    sanitize_metric_name,
-    validate_prometheus_text,
-    write_metrics_file,
-)
-from repro.obs.report import aggregate_spans, render_profile, time_split
-from repro.obs.trace import (
-    Span,
-    Tracer,
-    activate,
-    counter,
-    current_tracer,
-    graft,
-    observe,
-    restore,
-    span,
-    span_payloads,
-    span_timings,
-    traced,
-    tracing,
-)
-
-__all__ = [
-    "Span",
-    "Tracer",
-    "activate",
-    "current_tracer",
-    "restore",
-    "span",
-    "tracing",
-    "traced",
-    "counter",
-    "observe",
-    "span_payloads",
-    "span_timings",
-    "graft",
-    "MetricsRegistry",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS",
-    "merge_counter_dataclass",
-    "absorb_dataclass",
-    "config_snapshot",
-    "chrome_trace_events",
-    "chrome_trace_document",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-    "aggregate_spans",
-    "time_split",
-    "render_profile",
-    "EventLog",
-    "Ops",
-    "SlowQueryRecorder",
-    "note_query",
-    "validate_log_record",
-    "FlightRecorder",
-    "validate_flight_record",
-    "render_prometheus",
-    "parse_prometheus",
-    "sanitize_metric_name",
-    "validate_prometheus_text",
-    "write_metrics_file",
-]

@@ -17,8 +17,9 @@ vectors (QF_BV).  This package provides a self-contained replacement:
 * :mod:`repro.solver.solver` — the :class:`Solver` facade with assertion
   stacks, models and per-query timeouts.
 * :mod:`repro.solver.backends` — pluggable SAT backends behind the facade
-  (in-process CDCL, python-sat, external DIMACS binaries; one per solver,
-  ``Solver(backend=...)``) and the oracle pre-answer chain.
+  (in-process CDCL by default, python-sat, external DIMACS binaries; one
+  per solver, ``Solver(backend=...)``) and the oracle pre-answer chain.
+  Every SAT call the facade makes goes through one of them.
 
 The public API mirrors the small subset of an SMT solver API that STACK
 needs: build terms via :class:`TermManager`, assert them on a
@@ -26,11 +27,10 @@ needs: build terms via :class:`TermManager`, assert them on a
 points (``Solver(..., incremental=True)``) are first-class:
 ``check(assumptions=...)`` decides a query under per-call assumptions over
 a persistent clause database, ``push``/``pop`` scope assertions via
-activation literals without CNF rebuilds, learned clauses and bit-blasted
-encodings are retained across queries, and ``failed_assumptions()`` reports
-(core-free) which per-call terms an UNSAT answer relied on.
-:class:`SolverStats` exposes the work done — restarts, blasted clauses,
-blast-cache hits — and :func:`is_unsat` is a one-shot convenience wrapper.
+activation literals without CNF rebuilds, and learned clauses and
+bit-blasted encodings are retained across queries.  :class:`SolverStats`
+exposes the work done — restarts, blasted clauses, blast-cache hits — and
+:func:`is_unsat` is a one-shot convenience wrapper.
 See docs/SOLVER.md for the architecture and a tuning table.
 """
 

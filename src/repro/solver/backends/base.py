@@ -24,19 +24,16 @@ different engines fit behind it — the in-process CDCL solver, CaDiCaL via
 Verdict identity is the hard contract: for the same clause set and
 assumptions, every backend must return the same SAT/UNSAT status (UNKNOWN
 is always permitted under an exhausted budget).  Models may differ between
-backends — any satisfying assignment is acceptable — and failure
-attribution is *not* part of the backend contract: the facade blames every
-per-call term on UNSAT (the coarse, backend-independent rule documented in
-``docs/SOLVER.md``), so ``failed_assumptions()`` is byte-identical across
-backends by construction.  ``BackendAnswer.failed`` exists for diagnostics
-only.
+backends — any satisfying assignment is acceptable.  Every query the
+facade's pre-pass leaves open goes through this contract, the default
+in-process CDCL included (``backend="builtin"``).
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.solver.sat import SatResult
 
@@ -49,9 +46,6 @@ class BackendAnswer:
     #: Variable assignment (var -> bool) when SAT; unset variables default
     #: to False at model-extraction time.  None for UNSAT/UNKNOWN.
     model: Optional[Dict[int, bool]] = None
-    #: Assumption literals the backend attributes an UNSAT answer to, when
-    #: it can tell (diagnostic only — not part of the verdict contract).
-    failed: Optional[List[int]] = None
     #: Backend-specific work counters (conflicts, decisions, ...).
     stats: Dict[str, int] = field(default_factory=dict)
 

@@ -1,14 +1,16 @@
 """The builtin backend: the in-process CDCL solver behind the contract.
 
-Two construction modes:
+It is the facade's default backend.  Two construction modes:
 
-* ``BuiltinBackend()`` owns a fresh :class:`~repro.solver.sat.SatSolver`
-  and consumes the clause stream via :meth:`add_clauses` like any other
-  backend (how a standalone backend, e.g. from ``create_backend``, runs).
 * ``BuiltinBackend(sat=solver)`` wraps an *externally fed* solver — the
   facade's own SAT instance, which already receives every clause directly
   through its :class:`~repro.solver.cnf.CnfBuilder`.  ``add_clauses`` is a
-  no-op then, so the shared clause stream is not applied twice.
+  no-op then, so the clause stream is neither recorded nor applied twice.
+  This is how every default ``Solver`` runs.
+* ``BuiltinBackend()`` owns a fresh :class:`~repro.solver.sat.SatSolver`
+  and consumes the recorded clause stream via :meth:`add_clauses` like any
+  other backend (how a standalone backend, e.g. from ``create_backend``,
+  runs).
 """
 
 from __future__ import annotations
@@ -53,8 +55,4 @@ class BuiltinBackend(SolverBackend):
             "restarts": sat.restarts - restarts0,
         }
         model = sat.model() if result is SatResult.SAT else None
-        failed = None
-        if result is SatResult.UNSAT and sat.failed_assumption is not None:
-            failed = [sat.failed_assumption]
-        return BackendAnswer(result=result, model=model, failed=failed,
-                             stats=stats)
+        return BackendAnswer(result=result, model=model, stats=stats)

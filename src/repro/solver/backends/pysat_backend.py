@@ -104,15 +104,7 @@ class PysatBackend(SolverBackend):
             return BackendAnswer(result=SatResult.SAT, model=model,
                                  stats=stats)
         if status is False:
-            core = None
-            if assumptions:
-                try:
-                    raw = solver.get_core()
-                except NotImplementedError:
-                    raw = None
-                core = list(raw) if raw else None
-            return BackendAnswer(result=SatResult.UNSAT, failed=core,
-                                 stats=stats)
+            return BackendAnswer(result=SatResult.UNSAT, stats=stats)
         return BackendAnswer(result=SatResult.UNKNOWN, stats=stats)
 
     def _interrupt(self) -> None:

@@ -8,10 +8,9 @@ identically by every available backend:
   counts must match the builtin baseline exactly.
 * **query level** — the (base, deltas) pairs flowing through
   ``QueryContext.is_unsat`` are captured from a baseline run, then replayed
-  through a fresh ``Solver`` per backend: verdicts must match, UNSAT
-  replays must blame identical failed-assumption sets (the facade's uniform
-  coarse attribution), and SAT replays must produce models the term
-  evaluator verifies against the original query.
+  through a fresh ``Solver`` per backend: verdicts must match, and SAT
+  replays must produce models the term evaluator verifies against the
+  original query.
 
 The ``dimacs`` backend is exercised through the bundled reference CLI
 (``python -m repro.solver.backends.selfsolve``), so this suite covers the
@@ -103,11 +102,11 @@ def _replay(manager, goal, **solver_kwargs):
         solver.add(term)
     result = solver.check()
     model = solver.model().as_dict() if result is CheckResult.SAT else None
-    return result, model, solver.failed_assumptions()
+    return result, model
 
 
 def test_query_replay_identical_per_backend():
-    """Each captured query: same verdict, verified model, same failures."""
+    """Each captured query: same verdict and a verified model."""
     backends = [{"backend": "builtin"}, {"backend": "dimacs"}]
     if "pysat" in available_backends():
         backends.append({"backend": "pysat"})
@@ -115,14 +114,13 @@ def test_query_replay_identical_per_backend():
     queries = _capture_queries(SNIPPETS[0].render("replay"))
     assert queries, "the baseline run issued no solver queries"
     for manager, goal, _ in queries:
-        reference, ref_model, ref_failed = _replay(manager, goal)
+        reference, ref_model = _replay(manager, goal)
         if ref_model is not None:
             conjunction = manager.and_(*goal) if goal else manager.true()
             assert manager.evaluate(conjunction, ref_model)
         for kwargs in backends:
-            result, model, failed = _replay(manager, goal, **kwargs)
+            result, model = _replay(manager, goal, **kwargs)
             assert result is reference, kwargs
-            assert failed == ref_failed, kwargs
             if result is CheckResult.SAT:
                 # Models may differ between backends — but each must satisfy
                 # the original query under the term evaluator.
@@ -131,7 +129,7 @@ def test_query_replay_identical_per_backend():
 
 
 def test_assumption_failure_sets_identical_across_backends():
-    """UNSAT-under-assumptions blames the same terms on every backend."""
+    """UNSAT under assumptions, then from the frames alone, on every backend."""
     from repro.solver import TermManager
 
     backends = ["builtin", "dimacs"]
@@ -146,12 +144,9 @@ def test_assumption_failure_sets_identical_across_backends():
         good = mgr.bvult(x, mgr.bv_const(2, 8))
         bad = mgr.eq(mgr.bvmul(x, x), mgr.bv_const(255, 8))
         assert solver.check(assumptions=[good, bad]) is CheckResult.UNSAT, name
-        # Uniform coarse attribution: every per-call term is blamed,
-        # regardless of which backend answered or what core it found.
-        assert solver.failed_assumptions() == [good, bad], name
-        # Frame-only inconsistency keeps the documented empty-list contract.
         solver.push()
         solver.add(mgr.bvugt(x, mgr.bv_const(5, 8)))
         assert solver.check() is CheckResult.UNSAT, name
-        assert solver.failed_assumptions() == [], name
+        # A satisfiable per-call term cannot rescue inconsistent frames.
+        assert solver.check(assumptions=[good]) is CheckResult.UNSAT, name
         solver.pop()

@@ -4,7 +4,6 @@ Covers the edge cases the incremental refactor introduces:
 
 * assumption-based ``check`` on a persistent clause database,
 * push/pop interleaved with assumptions,
-* UNSAT-core-free assumption failure reporting,
 * budget exhaustion mid-run leaving the solver reusable,
 * determinism: incremental checking returns verdicts identical to scratch
   solving on the snippet corpus.
@@ -56,22 +55,6 @@ class TestAssumptions:
         solver.add(mgr.bvult(x, mgr.bv_const(3, WIDTH)))
         solver.add(mgr.bvugt(x, mgr.bv_const(5, WIDTH)))
         assert solver.check() is CheckResult.UNSAT
-        assert solver.failed_assumptions() == []
-
-    def test_assumption_failure_reporting_is_core_free(self, mgr):
-        # The failure report names the per-call terms the refutation relied
-        # on, without minimizing them into an UNSAT core.
-        x = mgr.bv_var("x", WIDTH)
-        solver = _incremental(mgr)
-        solver.add(mgr.bvult(x, mgr.bv_const(3, WIDTH)))
-
-        bad = mgr.bvugt(x, mgr.bv_const(200, WIDTH))
-        assert solver.check(assumptions=[bad]) is CheckResult.UNSAT
-        failed = solver.failed_assumptions()
-        assert failed and all(t is bad for t in failed)
-        assert solver.stats.assumption_failures >= 1
-        # The solver stays consistent and reusable after the failure.
-        assert solver.check() is CheckResult.SAT
 
     def test_extra_is_treated_as_assumption(self, mgr):
         x = mgr.bv_var("x", WIDTH)
@@ -278,31 +261,7 @@ def test_incremental_stats_reach_function_report():
     assert report.contexts == sum(f.contexts for f in report.functions)
 
 
-# -- failure attribution and frame discipline --------------------------------------
-
-
-class TestFailureAttribution:
-    def test_inconsistent_frames_report_no_failed_assumptions(self, mgr):
-        # The asserted frames alone are UNSAT; the per-call assumption must
-        # not be blamed (the documented empty-list contract).
-        x = mgr.bv_var("x", WIDTH)
-        y = mgr.bv_var("y", WIDTH)
-        solver = _incremental(mgr)
-        solver.add(mgr.bvult(x, mgr.bv_const(3, WIDTH)))
-        solver.add(mgr.bvugt(x, mgr.bv_const(5, WIDTH)))
-        failures_before = solver.stats.assumption_failures
-        result = solver.check(assumptions=[mgr.bvugt(y, mgr.bv_const(0, WIDTH))])
-        assert result is CheckResult.UNSAT
-        assert solver.failed_assumptions() == []
-        assert solver.stats.assumption_failures == failures_before
-
-    def test_failing_assumption_still_identified(self, mgr):
-        x = mgr.bv_var("x", WIDTH)
-        solver = _incremental(mgr)
-        solver.add(mgr.bvult(x, mgr.bv_const(3, WIDTH)))
-        bad = mgr.bvugt(x, mgr.bv_const(5, WIDTH))
-        assert solver.check(assumptions=[bad]) is CheckResult.UNSAT
-        assert solver.failed_assumptions() == [bad]
+# -- budget reuse and frame discipline ----------------------------------------------
 
 
 class TestBudgetExhaustionMidRace:
@@ -311,7 +270,7 @@ class TestBudgetExhaustionMidRace:
     def test_starved_builtin_race_stays_reusable(self, mgr):
         # Through the facade: a conflict budget of 1 starves the builtin
         # backend (UNKNOWN), then a raised budget decides the same
-        # persistent instance — mirroring the direct path's reuse guarantee.
+        # persistent instance.
         solver = Solver(mgr, timeout=None, max_conflicts=1, incremental=True,
                         backend="builtin")
         solver.push()
