@@ -27,12 +27,12 @@ compiler profile, witness replay) before the patch is attached as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 from repro.core.classify import classify_all
 from repro.core.elimination import EliminationFinding, run_elimination
-from repro.core.encode import EncoderOptions, FunctionEncoder
+from repro.core.encode import FunctionEncoder
 from repro.core.mincond import minimal_ub_conditions
 from repro.core.queries import QueryEngine
 from repro.core.report import (
@@ -70,27 +70,14 @@ class CheckerConfig:
     incremental: bool = True
     #: Inline same-module callees before checking (§4.2).
     inline: bool = True
-    #: Suppress diagnostics whose code the compiler generated (macros /
-    #: inlined callees), as §4.2/§4.5 prescribe.
-    ignore_compiler_generated: bool = True
     #: Compute minimal UB sets (Figure 8).  Disabling skips the extra queries.
     minimize_ub_sets: bool = True
-    #: Run the elimination algorithm.
-    enable_elimination: bool = True
-    #: Run simplification with the boolean oracle.
-    enable_boolean_oracle: bool = True
-    #: Run simplification with the algebra oracle.
-    enable_algebra_oracle: bool = True
-    #: Options forwarded to the encoder.
-    encoder_options: EncoderOptions = field(default_factory=EncoderOptions)
     #: Classify diagnostics into the §6.2 taxonomy.
     classify: bool = True
     #: Stage 5: replay a solver model for every diagnostic through the
     #: concrete interpreter, pre- and post-optimization, and attach the
     #: witness verdict (docs/EXEC.md).
     validate_witnesses: bool = False
-    #: Instruction budget per concrete witness replay.
-    witness_fuel: int = 50_000
     #: Seed of the external environment used by witness replay and the
     #: repair verifier's replay gate (CLI: ``--seed``), so validation runs
     #: reproduce exactly.
@@ -118,19 +105,13 @@ class CheckerConfig:
     def describe(self) -> str:
         """Render the active configuration for reports and logs.
 
-        One ``name = value`` line per field; nested encoder options are
-        flattened with an ``encoder.`` prefix.  ``docs/ENGINE.md`` carries the
+        One ``name = value`` line per field.  ``docs/ENGINE.md`` carries the
         paper citation for every field.
         """
         lines = ["CheckerConfig:"]
         for config_field in fields(self):
-            value = getattr(self, config_field.name)
-            if isinstance(value, EncoderOptions):
-                for option_field in fields(value):
-                    lines.append(f"  encoder.{option_field.name} = "
-                                 f"{getattr(value, option_field.name)!r}")
-                continue
-            lines.append(f"  {config_field.name} = {value!r}")
+            lines.append(f"  {config_field.name} = "
+                         f"{getattr(self, config_field.name)!r}")
         return "\n".join(lines)
 
 
@@ -177,8 +158,7 @@ class StackChecker:
     def _check_function(self, function: Function) -> FunctionReport:
         started = time.monotonic()
         with span("stage2.encode", function=function.name):
-            encoder = FunctionEncoder(function,
-                                      options=self.config.encoder_options)
+            encoder = FunctionEncoder(function)
             engine = QueryEngine(encoder, timeout=self.config.solver_timeout,
                                  max_conflicts=self.config.max_conflicts,
                                  cache=self.query_cache,
@@ -186,10 +166,8 @@ class StackChecker:
                                  backend=self.config.backend)
         result = FunctionReport(function=function.name)
 
-        elimination_findings: List[EliminationFinding] = []
-        if self.config.enable_elimination:
-            with span("stage3.elimination"):
-                elimination_findings = run_elimination(encoder, engine)
+        with span("stage3.elimination"):
+            elimination_findings = run_elimination(encoder, engine)
 
         # Comparisons inside blocks already proven unreachable need no second
         # look by the simplification oracles.
@@ -197,17 +175,10 @@ class StackChecker:
         for finding in elimination_findings:
             dead_instructions.extend(finding.block.instructions)
 
-        oracles = []
-        if self.config.enable_boolean_oracle:
-            oracles.append(BooleanOracle())
-        if self.config.enable_algebra_oracle:
-            oracles.append(AlgebraOracle())
-        simplification_findings: List[SimplificationFinding] = []
-        if oracles:
-            with span("stage3.simplification"):
-                simplification_findings = run_simplification(
-                    encoder, engine, oracles,
-                    skip_instructions=dead_instructions)
+        with span("stage3.simplification"):
+            simplification_findings = run_simplification(
+                encoder, engine, [BooleanOracle(), AlgebraOracle()],
+                skip_instructions=dead_instructions)
 
         diagnostics: List[Diagnostic] = []
         witness_work = []         # (diagnostic, hypothesis, conditions) triples
@@ -251,7 +222,6 @@ class StackChecker:
             with span("stage5.witness", diagnostics=len(witness_work)):
                 counts = validate_diagnostics(
                     function, encoder, witness_work,
-                    fuel=self.config.witness_fuel,
                     timeout=self.config.solver_timeout,
                     max_conflicts=self.config.max_conflicts,
                     seed=self.config.witness_seed)
@@ -307,8 +277,7 @@ class StackChecker:
         representative = finding.representative
         if representative is None:
             return None
-        if self.config.ignore_compiler_generated and \
-                not representative.origin.is_user_code():
+        if not representative.origin.is_user_code():
             return None
         ub_set = self._minimal_set(encoder, engine,
                                    finding.hypothesis, finding.conditions)
@@ -331,7 +300,7 @@ class StackChecker:
         finding: SimplificationFinding,
     ) -> Optional[Diagnostic]:
         inst = finding.instruction
-        if self.config.ignore_compiler_generated and not inst.origin.is_user_code():
+        if not inst.origin.is_user_code():
             return None
         ub_set = self._minimal_set(encoder, engine,
                                    finding.hypothesis, finding.conditions)

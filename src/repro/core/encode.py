@@ -13,16 +13,14 @@ For one function it provides:
 * ``well_defined_over(instructions)`` — the dominator-scoped well-defined
   program assumption ⋀ ¬U_d of equation (5).
 
-Division is encoded with a partial axiomatization by default (result values
-are fresh variables constrained by implications such as ``b == -1 → q == -a``)
-rather than a full divider circuit; this keeps queries small for the
-pure-Python SAT solver while still deciding the paper's division examples.
-The full circuit encoding can be enabled via the checker configuration.
+Division is encoded with a partial axiomatization (result values are fresh
+variables constrained by implications such as ``b == -1 → q == -a``) rather
+than a full divider circuit; this keeps queries small for the pure-Python SAT
+solver while still deciding the paper's division examples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.ir.cfg import back_edges
@@ -53,18 +51,6 @@ from repro.core.ubconditions import UBCondition, UBKind
 from repro.solver.terms import Term, TermManager
 
 
-@dataclass
-class EncoderOptions:
-    """Options controlling how IR is translated into terms."""
-
-    #: Use implication axioms for division results instead of a full circuit.
-    partial_division_axioms: bool = True
-    #: Emit buffer-overflow conditions for GEPs with known array capacities.
-    buffer_overflow_conditions: bool = True
-    #: Emit use-after-free / use-after-realloc conditions.
-    lifetime_conditions: bool = True
-
-
 class FunctionEncoder:
     """Encodes one IR function into solver terms."""
 
@@ -73,11 +59,9 @@ class FunctionEncoder:
 
     def __init__(self, function: Function,
                  manager: Optional[TermManager] = None,
-                 options: Optional[EncoderOptions] = None,
                  serial_start: int = 0) -> None:
         self.function = function
         self.manager = manager if manager is not None else TermManager()
-        self.options = options if options is not None else EncoderOptions()
         self.dominators = DominatorTree(function)
         self._back_edges = back_edges(function)
         self._terms: Dict[int, Term] = {}
@@ -204,11 +188,6 @@ class FunctionEncoder:
 
     def _encode_division(self, inst: BinaryOp, lhs: Term, rhs: Term) -> Term:
         mgr = self.manager
-        if not self.options.partial_division_axioms:
-            full = {BinOpKind.SDIV: mgr.bvsdiv, BinOpKind.UDIV: mgr.bvudiv,
-                    BinOpKind.SREM: mgr.bvsrem, BinOpKind.UREM: mgr.bvurem}
-            return full[inst.kind](lhs, rhs)
-
         width = lhs.width
         result = self._fresh_var(f"div.{inst.name or inst.kind.value}", width)
         zero = mgr.bv_const(0, width)
@@ -460,7 +439,7 @@ class FunctionEncoder:
         overflow = mgr.or_(mgr.bvslt(wide_sum, zero), mgr.bvsgt(wide_sum, limit))
         out.append(UBCondition(UBKind.POINTER_OVERFLOW, overflow, inst,
                                note=f"{inst.pointer.short_name()} + index"))
-        if self.options.buffer_overflow_conditions and inst.array_size is not None:
+        if inst.array_size is not None:
             capacity = mgr.bv_const(inst.array_size, index.width)
             index_zero = mgr.bv_const(0, index.width)
             out.append(UBCondition(
@@ -493,8 +472,6 @@ class FunctionEncoder:
     # -- use-after-free / use-after-realloc --------------------------------------------
 
     def _collect_lifetime_events(self) -> None:
-        if not self.options.lifetime_conditions:
-            return
         for inst in self.function.instructions():
             if isinstance(inst, Call) and inst.callee in ("free", "realloc") and inst.args:
                 self._freed_pointers.append((inst, inst.args[0], inst.callee))

@@ -16,11 +16,9 @@ package provides the synthetic equivalents described in DESIGN.md:
 """
 
 from repro.corpus.snippets import (
-    FUZZ_SNIPPETS,
     SNIPPETS,
     STABLE_SNIPPETS,
     Snippet,
-    register_snippet,
     snippet_by_name,
     snippets_for_kind,
 )
@@ -32,8 +30,6 @@ __all__ = [
     "COMPLETENESS_TESTS",
     "CompletenessTest",
     "DebianArchiveModel",
-    "FUZZ_SNIPPETS",
-    "register_snippet",
     "SNIPPETS",
     "STABLE_SNIPPETS",
     "SYSTEMS",

@@ -521,40 +521,6 @@ int head_value_{S}(struct node_{S} *head) {
 
 
 # ---------------------------------------------------------------------------
-# Fuzzer-discovered snippets (registered at runtime)
-# ---------------------------------------------------------------------------
-
-#: Reducer-minimized reproducers registered by fuzz campaigns
-#: (:mod:`repro.fuzz`).  Unlike the hand-written lists above, this registry
-#: starts empty and grows as campaigns run; registered snippets resolve
-#: through :func:`snippet_by_name` like any other.
-FUZZ_SNIPPETS: List[Snippet] = []
-
-
-def register_snippet(snippet: Snippet) -> Snippet:
-    """Register a discovered snippet (idempotent per name *and* content).
-
-    Re-registering an identical snippet returns the already-registered one,
-    so campaigns that minimize the same shape twice do not duplicate
-    entries.  Reusing a registered name for a *different* template is an
-    error — as is colliding with a hand-written snippet name — so a stale
-    name can never silently shadow new content.
-    """
-    existing = _ALL_BY_NAME.get(snippet.name)
-    if existing is not None:
-        if existing not in FUZZ_SNIPPETS:
-            raise ValueError(f"snippet name {snippet.name!r} is already "
-                             f"taken by a hand-written snippet")
-        if existing.source_template != snippet.source_template:
-            raise ValueError(f"snippet name {snippet.name!r} is already "
-                             f"registered with a different template")
-        return existing
-    FUZZ_SNIPPETS.append(snippet)
-    _ALL_BY_NAME[snippet.name] = snippet
-    return snippet
-
-
-# ---------------------------------------------------------------------------
 # Lookup helpers
 # ---------------------------------------------------------------------------
 
@@ -562,7 +528,7 @@ _ALL_BY_NAME: Dict[str, Snippet] = {s.name: s for s in SNIPPETS + STABLE_SNIPPET
 
 
 def snippet_by_name(name: str) -> Snippet:
-    """Look up any snippet (unstable, stable, or fuzzer-registered) by name."""
+    """Look up any snippet (unstable or stable) by name."""
     if name not in _ALL_BY_NAME:
         raise KeyError(f"unknown snippet {name!r}")
     return _ALL_BY_NAME[name]

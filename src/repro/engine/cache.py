@@ -62,7 +62,7 @@ import os
 import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.solver.terms import COMMUTATIVE_OPS, Op, Term
 
@@ -254,6 +254,31 @@ class CacheEntry:
             self.budget_covers(existing.timeout, existing.max_conflicts)
 
 
+def _read_entries(path: str) -> Iterator[CacheEntry]:
+    """The entries of a JSONL cache file, in file order.
+
+    A missing file yields nothing.  Blank lines, torn JSON (a line cut short
+    by an interrupted write) and records without a ``key`` or a known
+    ``verdict`` are skipped.  A key may appear more than once; callers keep
+    the last.
+    """
+    if not os.path.exists(path):
+        return
+    with open(path, "r", encoding="utf-8") as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                data = json.loads(line)
+            except json.JSONDecodeError:
+                continue
+            if not isinstance(data, dict) or "key" not in data \
+                    or data.get("verdict") not in _VERDICTS:
+                continue
+            yield CacheEntry.from_dict(data)
+
+
 @contextlib.contextmanager
 def _advisory_lock(path: str):
     """Exclusive advisory file lock guarding cache-file rewrites.
@@ -390,22 +415,12 @@ class SolverQueryCache:
 
     def load(self, path: str) -> int:
         """Read a JSONL cache file; silently tolerates a missing file."""
-        if not os.path.exists(path):
-            return 0
         loaded = 0
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    data = json.loads(line)
-                except json.JSONDecodeError:
-                    continue          # torn line from an interrupted flush
-                if "key" not in data or data.get("verdict") not in _VERDICTS:
-                    continue
-                self.seed((data,))
-                loaded += 1
+        for entry in _read_entries(path):
+            self._entries[entry.key] = entry
+            if len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+            loaded += 1
         return loaded
 
     def flush(self, path: Optional[str] = None) -> int:
@@ -430,20 +445,8 @@ class SolverQueryCache:
         written = 0
         with _advisory_lock(target + ".lock"):
             merged: "OrderedDict[str, CacheEntry]" = OrderedDict()
-            if os.path.exists(target):
-                with open(target, "r", encoding="utf-8") as handle:
-                    for line in handle:
-                        line = line.strip()
-                        if not line:
-                            continue
-                        try:
-                            data = json.loads(line)
-                        except json.JSONDecodeError:
-                            continue       # pre-lock legacy torn line
-                        if "key" not in data or \
-                                data.get("verdict") not in _VERDICTS:
-                            continue
-                        merged[str(data["key"])] = CacheEntry.from_dict(data)
+            for entry in _read_entries(target):
+                merged[entry.key] = entry
             for entry in self._unflushed:
                 if not entry.supersedes(merged.get(entry.key)):
                     continue

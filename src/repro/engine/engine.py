@@ -18,7 +18,7 @@ submission order, so their counters repeat run to run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.checker import CheckerConfig
@@ -47,8 +47,6 @@ class EngineConfig:
     checker: CheckerConfig = field(default_factory=CheckerConfig)
     #: Share solver verdicts across functions / workers / runs.
     cache_enabled: bool = True
-    #: Maximum in-memory cache entries (LRU eviction beyond this).
-    cache_capacity: int = 100_000
     #: JSONL file the cache is warmed from and flushed to (None = in-memory only).
     cache_path: Optional[str] = None
     #: Cumulative budget multipliers for retrying functions with query
@@ -202,12 +200,13 @@ class CheckEngine:
     def __init__(self, config: Optional[EngineConfig] = None) -> None:
         self.config = config if config is not None else EngineConfig()
         if self.config.trace_path and not self.config.checker.trace:
-            self.config.checker.trace = True       # a trace file implies tracing
+            # A trace file implies tracing; the caller's configs stay as given.
+            self.config = replace(self.config, checker=replace(
+                self.config.checker, trace=True))
         self.cache: Optional[SolverQueryCache] = None
         self._aux_trace_blobs: List[dict] = []
         if self.config.cache_enabled:
-            self.cache = SolverQueryCache(capacity=self.config.cache_capacity,
-                                          path=self.config.cache_path)
+            self.cache = SolverQueryCache(path=self.config.cache_path)
 
     # -- public API ----------------------------------------------------------------
 
@@ -313,7 +312,7 @@ class CheckEngine:
         with WarmWorkerPool(
                 workers=min(self.config.workers, len(work)),
                 checker=config if config is not None else self.config.checker,
-                cache=self.cache, cache_capacity=self.config.cache_capacity,
+                cache=self.cache,
                 escalation_factors=self.config.escalation_factors) as pool:
             # Submitting everything before the first collect() sends unit i
             # to worker i mod N, so every worker's cache sees a fixed run.

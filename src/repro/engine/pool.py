@@ -73,7 +73,7 @@ def _error_result(unit: WorkUnit, error: str) -> UnitResult:
 
 def _worker_main(worker_id: int, task_queue, result_queue,
                  checker: CheckerConfig, cache_seed: Optional[List[dict]],
-                 cache_capacity: int, escalation: Tuple[float, ...]) -> None:
+                 escalation: Tuple[float, ...]) -> None:
     """Body of one warm worker process.
 
     The cache constructed here is the worker's warm state: it persists
@@ -89,7 +89,7 @@ def _worker_main(worker_id: int, task_queue, result_queue,
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     cache = None
     if cache_seed is not None:
-        cache = SolverQueryCache(capacity=cache_capacity)
+        cache = SolverQueryCache()
         cache.seed(cache_seed)
     while True:
         task = task_queue.get()
@@ -142,7 +142,6 @@ class WarmWorkerPool:
 
     def __init__(self, workers: int, checker: Optional[CheckerConfig] = None,
                  cache: Optional[SolverQueryCache] = None,
-                 cache_capacity: int = 100_000,
                  escalation_factors: Tuple[float, ...] = (4.0, 16.0),
                  max_retries: int = 1,
                  completed_history: int = 4096,
@@ -152,7 +151,6 @@ class WarmWorkerPool:
         self.workers = workers
         self.checker = checker if checker is not None else CheckerConfig()
         self.cache = cache
-        self.cache_capacity = cache_capacity
         self.escalation_factors = tuple(escalation_factors)
         self.max_retries = max_retries
         self.deaths = 0                       # workers lost over the lifetime
@@ -196,7 +194,7 @@ class WarmWorkerPool:
         process = self._context.Process(
             target=_worker_main,
             args=(worker_id, task_queue, self._result_queue, self.checker,
-                  seed, self.cache_capacity, self.escalation_factors),
+                  seed, self.escalation_factors),
             daemon=True)
         process.start()
         with self._meta_lock:

@@ -11,8 +11,7 @@ The subsystem has three parts (docs/FUZZ.md):
   schedules generation by observed verdict coverage, and streams
   deterministic JSONL,
 * :mod:`repro.fuzz.reduce` — ddmin reduction of every unstable finding to
-  a minimal reproducer that still reproduces the verdict, registrable into
-  the snippet corpus.
+  a minimal reproducer that still reproduces the verdict.
 
 Entry points: :func:`run_fuzz_campaign` from Python, ``python -m repro
 fuzz`` from the shell, ``repro.experiments.fuzz`` for the campaign summary
@@ -35,7 +34,6 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.reduce import (
     ReducedCase,
-    case_to_snippet,
     ddmin,
     reduce_module,
     reduce_source,
@@ -51,7 +49,6 @@ __all__ = [
     "ProgramGenerator",
     "ReducedCase",
     "build_ir_module",
-    "case_to_snippet",
     "ddmin",
     "reduce_module",
     "reduce_source",

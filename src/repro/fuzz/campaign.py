@@ -22,9 +22,7 @@ Three properties are load-bearing and tested by ``benchmarks/bench_fuzz.py``:
   produce none.
 * **Reproducers for every finding.**  With ``reduce=True`` every flagged
   program gets a ddmin-minimized case that still reproduces the verdict;
-  minimization is memoised on the de-tagged program shape, and MiniC cases
-  can be registered into the snippet corpus
-  (:func:`repro.corpus.snippets.register_snippet`).
+  minimization is memoised on the de-tagged program shape.
 
 Scheduling is verdict-coverage-guided: after every batch, scenario classes
 that have not yet produced all of {flagged, clean, confirmed-witness} get
@@ -48,11 +46,16 @@ from repro.fuzz.generator import (
     GeneratedProgram,
     ProgramGenerator,
 )
-from repro.fuzz.reduce import ReducedCase, case_to_snippet, reduce_module, \
-    reduce_source
+from repro.fuzz.reduce import ReducedCase, reduce_module, reduce_source
 
 #: The verdict outcomes the scheduler wants to observe per scenario class.
 _COVERAGE_GOALS = ("flagged", "clean", "confirmed")
+
+#: Programs per engine fan-out (one check_corpus call per batch).
+BATCH_SIZE = 25
+
+#: Argument vectors per function in the differential runner.
+DIFF_INPUTS = 4
 
 
 @dataclass
@@ -63,14 +66,10 @@ class FuzzConfig:
     seed: int = 0
     #: Total number of programs to generate and check.
     budget: int = 100
-    #: Programs per engine fan-out (one check_corpus call per batch).
-    batch_size: int = 25
     #: Engine worker processes (0/1 = sequential, same results either way).
     workers: int = 0
     #: Delta-debug every unstable finding to a minimal reproducer.
     reduce: bool = False
-    #: Register reduced MiniC cases into the snippet corpus.
-    register_snippets: bool = False
     #: Deterministic JSONL output path (None = keep records in memory only).
     out: Optional[str] = None
     #: Scenario classes to draw from (default: all of them).
@@ -79,8 +78,6 @@ class FuzzConfig:
     validate_witnesses: bool = True
     #: Seeded differential optimizer run per generated program.
     differential: bool = True
-    #: Argument vectors per function in the differential runner.
-    diff_inputs: int = 4
     #: Stage-6 auto-repair for every diagnostic (off by default: slow).
     repair: bool = False
     #: Per-query CDCL conflict budget (no wall-clock timeout: determinism).
@@ -184,8 +181,6 @@ class FuzzResult:
     records: List[Dict[str, object]] = field(default_factory=list)
     #: De-tagged shape key -> minimized reproducer.
     reduced: Dict[str, ReducedCase] = field(default_factory=dict)
-    #: Snippets registered into the corpus (register_snippets=True).
-    snippets: List["Snippet"] = field(default_factory=list)
     out: Optional[str] = None
 
     @property
@@ -200,8 +195,6 @@ class FuzzCampaign:
         self.config = config if config is not None else FuzzConfig()
         if self.config.budget <= 0:
             raise ValueError("fuzz budget must be positive")
-        if self.config.batch_size <= 0:
-            raise ValueError("fuzz batch size must be positive")
         #: The one rng threading the whole pipeline (docs/FUZZ.md).
         self.rng = random.Random(self.config.seed)
         self.generator = ProgramGenerator(self.rng, self.config.scenarios)
@@ -241,7 +234,7 @@ class FuzzCampaign:
             try:
                 index = 0
                 while index < cfg.budget:
-                    batch_size = min(cfg.batch_size, cfg.budget - index)
+                    batch_size = min(BATCH_SIZE, cfg.budget - index)
                     programs = self._generate_batch(index, batch_size)
                     index += batch_size
                     outcome = engine.check_corpus(self._work_units(programs))
@@ -437,7 +430,7 @@ class FuzzCampaign:
 
         module = self._fresh_module(program)
         diff = run_differential([(program.name, module)],
-                                inputs_per_function=self.config.diff_inputs,
+                                inputs_per_function=DIFF_INPUTS,
                                 rng=self.rng)
         counts = diff.counts
         agree = counts.get(DiffClassification.AGREE.value, 0)
@@ -498,20 +491,6 @@ class FuzzCampaign:
             stats.reduced_cases += 1
             stats.reduction_checker_runs += case.checker_runs
             stats.scenario_row(program.scenario)["reduced"] += 1
-            if self.config.register_snippets and case.mode == "minic":
-                import hashlib
-
-                from repro.corpus.snippets import register_snippet
-
-                # Content-hashed names: the same minimized shape gets the
-                # same name in every campaign and process, so registration
-                # is idempotent across seeds and never shadows different
-                # content under a recycled counter.
-                digest = hashlib.sha256(case.source.encode()).hexdigest()[:8]
-                snippet = case_to_snippet(
-                    case, scenario=program.scenario, tag="{S}",
-                    name=f"fuzz_{program.scenario}_{digest}")
-                result.snippets.append(register_snippet(snippet))
         return {
             "template": case.source,
             "mode": case.mode,

@@ -18,8 +18,8 @@ positives as well as detection.
 Templates carry a ``{S}`` placeholder in every global identifier, exactly
 like :class:`~repro.corpus.snippets.Snippet`; the campaign renders them
 with a per-program tag so one translation unit can never collide with
-another, and the reducer strips the tag again to register minimized cases
-back into the snippet corpus.
+another, and the campaign strips the tag again from a minimized case so
+that one reproducer stands for every program of its shape.
 """
 
 from __future__ import annotations

@@ -254,32 +254,3 @@ def reduce_module(build: Callable[[], Module], *,
     case.elements_after = len(indices)
     case.kinds = tuple(sorted(original & target, key=lambda k: k.value))
     return case
-
-
-# ---------------------------------------------------------------------------
-# Corpus registration
-# ---------------------------------------------------------------------------
-
-
-def case_to_snippet(case: ReducedCase, *, scenario: str, tag: str,
-                    name: str, description: str = "") -> "Snippet":
-    """Turn a reduced MiniC case into a snippet-corpus-compatible template.
-
-    The program's unique identifier ``tag`` is replaced by the corpus
-    ``{S}`` placeholder, so the minimized reproducer can be instantiated
-    many times over like any hand-written snippet.
-    """
-    from repro.corpus.snippets import Snippet
-
-    if case.mode != "minic":
-        raise ValueError("only MiniC cases can join the snippet corpus")
-    template = case.source.replace(tag, "{S}")
-    return Snippet(
-        name=name,
-        source_template="\n" + template.strip("\n") + "\n",
-        ub_kinds=case.kinds,
-        system="fuzzer",
-        description=description or
-        f"reducer-minimized {scenario} reproducer "
-        f"({case.elements_before}->{case.elements_after} lines)",
-    )

@@ -9,9 +9,10 @@ primitives:
   short-circuits, …).  Merged by addition.
 * **gauges** — last-write-wins point samples (workers, corpus size).
   Merged by max, which matches how ``RunStats`` already treats ``workers``.
-* **histograms** — fixed-bucket latency/size distributions (per-stage
-  latency, CNF size).  Buckets are fixed at first observation so two
-  registries recording the same series always merge bucket-by-bucket.
+* **histograms** — fixed-bucket latency distributions (per-stage latency,
+  per-unit serve latency).  Every histogram uses
+  :data:`DEFAULT_LATENCY_BUCKETS`, so two registries recording the same
+  series always merge bucket-by-bucket.
 
 Everything speaks one ``snapshot()``/``merge()`` protocol; snapshots are
 plain JSON-safe dicts, so they pickle across the worker-process fan-out
@@ -75,11 +76,8 @@ class Histogram:
 
     def merge(self, other: "Histogram") -> None:
         if other.buckets != self.buckets:
-            # Bucket layouts differ: fold the other side in as raw
-            # observations at its bucket means so no count is lost.
-            for value in other.flatten():
-                self.observe(value)
-            return
+            raise ValueError(f"cannot merge histogram buckets {other.buckets} "
+                             f"into {self.buckets}")
         for i, n in enumerate(other.bucket_counts):
             self.bucket_counts[i] += n
         self.count += other.count
@@ -89,18 +87,6 @@ class Histogram:
                 continue
             self.min = bound if self.min is None else min(self.min, bound)
             self.max = bound if self.max is None else max(self.max, bound)
-
-    def flatten(self) -> List[float]:
-        """Representative per-bucket values (used for cross-layout merges)."""
-        out: List[float] = []
-        lower = 0.0
-        for i, upper in enumerate(self.buckets):
-            out.extend([(lower + upper) / 2.0] * self.bucket_counts[i])
-            lower = upper
-        overflow = self.bucket_counts[len(self.buckets)]
-        top = self.max if self.max is not None else (lower or 1.0)
-        out.extend([top] * overflow)
-        return out
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -141,13 +127,10 @@ class MetricsRegistry:
     def set_gauge(self, name: str, value: float) -> None:
         self.gauges[name] = value
 
-    def observe(self, name: str, value: float,
-                buckets: Optional[Sequence[float]] = None) -> None:
+    def observe(self, name: str, value: float) -> None:
         hist = self.histograms.get(name)
         if hist is None:
-            hist = Histogram(buckets if buckets is not None
-                             else DEFAULT_LATENCY_BUCKETS)
-            self.histograms[name] = hist
+            hist = self.histograms[name] = Histogram()
         hist.observe(value)
 
     # -- reading -----------------------------------------------------------------

@@ -32,10 +32,9 @@ nothing with tracing disabled.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -47,9 +46,7 @@ __all__ = [
     "restore",
     "span",
     "tracing",
-    "traced",
     "counter",
-    "observe",
     "span_payloads",
     "span_timings",
     "graft",
@@ -270,35 +267,11 @@ def span(name: str, **args: Any):
     return tracer.span(name, **args)
 
 
-def traced(name: Optional[str] = None) -> Callable:
-    """Decorator wrapping a function call in a span named after it."""
-
-    def decorate(func: Callable) -> Callable:
-        label = name if name is not None else func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            with span(label):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
 def counter(name: str, value: int = 1) -> None:
     """Bump a counter on the active tracer's metrics registry (no-op when off)."""
     tracer = _ACTIVE
     if tracer is not None:
         tracer.metrics.inc(name, value)
-
-
-def observe(name: str, value: float,
-            buckets: Optional[Sequence[float]] = None) -> None:
-    """Record a histogram observation on the active tracer (no-op when off)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.metrics.observe(name, value, buckets=buckets)
 
 
 # -- flat serialization and grafting ------------------------------------------------

@@ -207,7 +207,7 @@ def repair_diagnostic(function: Function, encoder: FunctionEncoder,
             with span("repair.gate.replay", template=candidate.template):
                 replay = replay_original_witness(
                     candidate.patched, encoder, hypothesis, conditions,
-                    fuel=config.witness_fuel, timeout=config.solver_timeout,
+                    timeout=config.solver_timeout,
                     max_conflicts=config.max_conflicts,
                     seed=config.witness_seed, model=model)
         gates.append(replay)

@@ -30,7 +30,7 @@ import queue as queue_module
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.checker import CheckerConfig
@@ -61,8 +61,6 @@ class ServeConfig:
     #: JSONL file the shared solver-query cache is warmed from on start and
     #: atomically flushed to on drain (None = in-memory only).
     cache_path: Optional[str] = None
-    #: Maximum in-memory cache entries.
-    cache_capacity: int = 100_000
     #: Directory receiving one ``<job>.jsonl`` result stream per job
     #: (None = results travel only over the socket).
     results_dir: Optional[str] = None
@@ -87,8 +85,6 @@ class ServeConfig:
     log_path: Optional[str] = None
     #: Minimum level written to the event log (the flight ring keeps all).
     log_level: str = "info"
-    #: Event-log size-rotation threshold in bytes.
-    log_max_bytes: int = 10_000_000
     #: Prometheus text-format snapshot rewritten atomically every
     #: ``metrics_interval`` seconds for an external scraper (None = the
     #: ``metrics`` protocol op is the only exporter).
@@ -154,28 +150,23 @@ class ServeServer:
     """Long-running checking service over a local socket."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
-        self.config = config if config is not None else ServeConfig()
-        if self.config.trace_path and not self.config.checker.trace:
-            import dataclasses
-
-            self.config.checker = dataclasses.replace(self.config.checker,
-                                                      trace=True)
-        if self.config.slow_query_ms is not None \
-                and self.config.checker.slow_query_ms is None:
-            import dataclasses
-
-            self.config.checker = dataclasses.replace(
-                self.config.checker, slow_query_ms=self.config.slow_query_ms)
-        self.cache = SolverQueryCache(capacity=self.config.cache_capacity,
-                                      path=self.config.cache_path)
+        config = config if config is not None else ServeConfig()
+        # The daemon-wide switches imply their checker fields; the caller's
+        # configs stay as given.
+        checker = config.checker
+        if config.trace_path and not checker.trace:
+            checker = replace(checker, trace=True)
+        if config.slow_query_ms is not None and checker.slow_query_ms is None:
+            checker = replace(checker, slow_query_ms=config.slow_query_ms)
+        self.config = replace(config, checker=checker)
+        self.cache = SolverQueryCache(path=self.config.cache_path)
         self.metrics = MetricsRegistry()
         flight_dir = self.config.flight_dir \
             or os.path.dirname(self.config.log_path or "") \
             or os.path.dirname(self.config.socket_path) or "."
         self.ops = Ops(
             log=EventLog(path=self.config.log_path,
-                         level=self.config.log_level,
-                         max_bytes=self.config.log_max_bytes),
+                         level=self.config.log_level),
             flight=FlightRecorder(),
             flight_dir=flight_dir,
             metrics_fn=lambda: self.metrics.snapshot(),
@@ -212,7 +203,7 @@ class ServeServer:
         self._started = True
         self._pool = WarmWorkerPool(
             workers=self.config.workers, checker=self.config.checker,
-            cache=self.cache, cache_capacity=self.config.cache_capacity,
+            cache=self.cache,
             escalation_factors=self.config.escalation_factors, ops=self.ops)
         path = self.config.socket_path
         if os.path.exists(path):

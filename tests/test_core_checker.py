@@ -3,7 +3,6 @@
 import pytest
 
 from repro import check_source
-from repro.core.checker import CheckerConfig
 from repro.core.report import Algorithm
 from repro.core.ubconditions import UBKind
 
@@ -263,23 +262,8 @@ class TestCheckerConfiguration:
         default_report = check_source(source)
         assert not any(b.origin and b.origin.kind.value == "macro"
                        for b in default_report.bugs)
-
-        config = CheckerConfig(ignore_compiler_generated=False)
-        verbose_report = check_source(source, config=config)
-        assert len(verbose_report.bugs) >= len(default_report.bugs)
-
-    def test_disabling_algorithms(self):
-        source = """
-            int f(int x) {
-                if (x + 100 < x) return -1;
-                return 0;
-            }
-        """
-        config = CheckerConfig(enable_elimination=False,
-                               enable_boolean_oracle=False,
-                               enable_algebra_oracle=False)
-        report = check_source(source, config=config)
-        assert not report.bugs
+        # The filter fired: the macro-origin finding was dropped, not missed.
+        assert default_report.functions[0].suppressed_compiler_origin == 1
 
     def test_query_statistics_populated(self):
         report = check_source("int f(int x) { if (x + 1 < x) return 1; return 0; }")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import compile_source
-from repro.core.encode import EncoderOptions, FunctionEncoder
+from repro.core.encode import FunctionEncoder
 from repro.core.elimination import run_elimination
 from repro.core.mincond import minimal_ub_conditions
 from repro.core.queries import QueryEngine
@@ -63,14 +63,6 @@ class TestEncoderValues:
         assert result.is_var()
         definitions = encoder.definitions_for(result)
         assert definitions  # the b == ±1 / a == 0 axioms
-
-    def test_full_division_circuit_option(self):
-        module = compile_source("int f(int a, int b) { return a / b; }")
-        function = module.defined_functions()[0]
-        encoder = FunctionEncoder(
-            function, options=EncoderOptions(partial_division_axioms=False))
-        div = next(i for i in function.instructions() if i.opcode() == "sdiv")
-        assert not encoder.term(div).is_var()
 
 
 class TestEncoderReachability:

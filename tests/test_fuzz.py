@@ -7,14 +7,11 @@ import pytest
 
 from repro.api import check_source, compile_source
 from repro.core.ubconditions import UBKind
-from repro.corpus.snippets import FUZZ_SNIPPETS, register_snippet, \
-    snippet_by_name
 from repro.fuzz import (
     ALL_SCENARIOS,
     FuzzConfig,
     ProgramGenerator,
     build_ir_module,
-    case_to_snippet,
     ddmin,
     reduce_module,
     reduce_source,
@@ -187,62 +184,6 @@ class TestReduceModule:
         assert reduce_module(lambda: build_ir_module(spec)) is None
 
 
-class TestSnippetRegistration:
-    def test_case_round_trips_into_the_corpus(self):
-        case = reduce_source(UNSTABLE_SOURCE)
-        snippet = case_to_snippet(case, scenario="pointer_guard_order",
-                                  tag="s9", name="fuzz_test_reg_0")
-        assert "{S}" in snippet.source_template
-        assert snippet.is_unstable
-        rendered = snippet.render("42")
-        report = check_source(rendered)
-        assert any(UBKind.POINTER_OVERFLOW in bug.ub_kinds
-                   for bug in report.bugs)
-
-        registered = register_snippet(snippet)
-        try:
-            assert snippet_by_name("fuzz_test_reg_0") is registered
-            # Idempotent per name.
-            assert register_snippet(snippet) is registered
-        finally:
-            FUZZ_SNIPPETS.remove(registered)
-            from repro.corpus import snippets as snippets_module
-
-            del snippets_module._ALL_BY_NAME["fuzz_test_reg_0"]
-
-    def test_name_reuse_with_different_content_rejected(self):
-        case = reduce_source(UNSTABLE_SOURCE)
-        first = case_to_snippet(case, scenario="pointer_guard_order",
-                                tag="s9", name="fuzz_test_conflict_0")
-        registered = register_snippet(first)
-        try:
-            import dataclasses
-
-            other = dataclasses.replace(
-                first, source_template=first.source_template + "\n")
-            with pytest.raises(ValueError):
-                register_snippet(other)
-        finally:
-            FUZZ_SNIPPETS.remove(registered)
-            from repro.corpus import snippets as snippets_module
-
-            del snippets_module._ALL_BY_NAME["fuzz_test_conflict_0"]
-
-    def test_hand_written_names_are_protected(self):
-        case = reduce_source(UNSTABLE_SOURCE)
-        snippet = case_to_snippet(case, scenario="x", tag="s9",
-                                  name="fig1_pointer_overflow_check")
-        with pytest.raises(ValueError):
-            register_snippet(snippet)
-
-    def test_ir_cases_cannot_join_the_corpus(self):
-        spec = {"scenario": "ir_overflow_chain", "width": 32,
-                "consts": [7], "guard_first": False, "tag": "s0"}
-        case = reduce_module(lambda: build_ir_module(spec))
-        with pytest.raises(ValueError):
-            case_to_snippet(case, scenario="ir", tag="s0", name="nope")
-
-
 # ---------------------------------------------------------------------------
 # Campaign
 # ---------------------------------------------------------------------------
@@ -280,21 +221,6 @@ class TestCampaign:
         for case in result.reduced.values():
             assert case.elements_after <= case.elements_before
 
-    def test_register_snippets_lands_in_corpus(self):
-        result = run_fuzz_campaign(FuzzConfig(seed=4, budget=12, reduce=True,
-                                              register_snippets=True))
-        assert result.snippets
-        try:
-            for snippet in result.snippets:
-                assert snippet_by_name(snippet.name) is snippet
-                assert snippet in FUZZ_SNIPPETS
-        finally:
-            from repro.corpus import snippets as snippets_module
-
-            for snippet in result.snippets:
-                FUZZ_SNIPPETS.remove(snippet)
-                del snippets_module._ALL_BY_NAME[snippet.name]
-
     def test_scenario_filter(self):
         result = run_fuzz_campaign(FuzzConfig(
             seed=1, budget=6, scenarios=("division_order",),
@@ -316,8 +242,6 @@ class TestCampaign:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             run_fuzz_campaign(FuzzConfig(budget=0))
-        with pytest.raises(ValueError):
-            run_fuzz_campaign(FuzzConfig(budget=4, batch_size=0))
 
     def test_workers_reproduce_sequential_results(self, tmp_path):
         sequential = tmp_path / "seq.jsonl"

@@ -12,7 +12,9 @@ that is added, dropped, renamed or moved changes one of these lists.
 Key paths join dictionary keys with ``.``; ``[]`` stands for the elements
 of a list.  Values that are not part of the record schema proper (the
 config snapshot, unit ``meta``, per-diagnostic witness and repair reports,
-the fuzz campaign's per-scenario rows) are pinned by their key only.
+the fuzz campaign's per-scenario rows) are pinned by their key only; the
+config snapshots' setting names are pinned separately, as sorted key sets,
+so that adding or dropping a setting is one reviewed change here.
 """
 
 import json
@@ -103,6 +105,16 @@ FUZZ_RUN_PATHS = (
        "reduced_cases", "reduction_checker_runs", "seed", "type", "version"]
     + nested("witnesses", ["confirmed", "inconclusive", "unconfirmed"]))
 
+#: Setting names of the run record's ``config.checker`` and
+#: ``config.engine``, and of the ``fuzz-run`` record's ``config``.
+CHECKER_SETTINGS = ["backend", "classify", "cluster", "incremental", "inline",
+                    "max_conflicts", "minimize_ub_sets", "repair",
+                    "slow_query_ms", "solver_timeout", "trace",
+                    "validate_witnesses", "witness_seed"]
+ENGINE_SETTINGS = ["cache_enabled", "escalation_factors", "workers"]
+FUZZ_SETTINGS = ["budget", "differential", "max_conflicts", "reduce",
+                 "repair", "scenarios", "seed", "validate_witnesses"]
+
 RUN_METRICS = sorted(
     f"run.{name}" for name in
     ["units", "failed_units", "functions", "diagnostics", "queries",
@@ -192,6 +204,13 @@ def test_run_record_with_cache(clustered_run):
     assert run["cluster"]["propagated"] > 0
 
 
+def test_run_record_settings(run_records):
+    (run,) = _by_type(run_records, "run")
+    assert sorted(run["config"]) == ["checker", "engine"]
+    assert sorted(run["config"]["checker"]) == CHECKER_SETTINGS
+    assert sorted(run["config"]["engine"]) == ENGINE_SETTINGS
+
+
 def test_cluster_records(clustered_run):
     clusters = _by_type(clustered_run, "cluster")
     assert clusters
@@ -211,3 +230,4 @@ def test_fuzz_run_summary(tmp_path):
     run_fuzz_campaign(FuzzConfig(seed=5, budget=4, out=str(path)))
     (summary,) = _by_type(_records(path), "fuzz-run")
     assert key_paths(summary) == FUZZ_RUN_PATHS
+    assert sorted(summary["config"]) == FUZZ_SETTINGS

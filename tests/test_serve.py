@@ -419,6 +419,18 @@ def _start_server(socket_path, **overrides):
     return server
 
 
+def test_server_leaves_the_callers_config_alone(serve_socket, tmp_path):
+    checker = CheckerConfig()
+    config = ServeConfig(socket_path=serve_socket, checker=checker,
+                         trace_path=str(tmp_path / "trace.json"),
+                         slow_query_ms=5.0)
+    server = ServeServer(config)                # built, never started
+    assert server.config.checker.trace
+    assert server.config.checker.slow_query_ms == 5.0
+    assert config.checker is checker
+    assert checker.trace is False and checker.slow_query_ms is None
+
+
 def test_served_records_match_batch_engine(serve_socket, tmp_path):
     """A served job's stream is the batch engine's stream, byte for byte
     (timing normalized via ``verdict_view``).  One warm worker vs. the
