@@ -25,7 +25,8 @@ from repro.core.checker import CheckerConfig
 from repro.core.report import report_signature
 from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS
 from repro.engine.engine import EngineConfig
-from repro.solver.backends import SAT_BINARY_ENV, available_backends
+from repro.solver.backends import available_backends
+from repro.solver.backends.dimacs import SAT_BINARY_ENV
 
 SELFSOLVE = f"{sys.executable} -m repro.solver.backends.selfsolve"
 
@@ -51,7 +52,7 @@ def _configurations():
 
 
 def _run(corpus, **overrides):
-    config = CheckerConfig(solver_timeout=60.0, **overrides)
+    config = CheckerConfig(**overrides)
     engine_config = EngineConfig(workers=0, checker=config,
                                  cache_enabled=False)
     started = time.monotonic()

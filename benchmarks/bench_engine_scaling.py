@@ -46,7 +46,7 @@ def test_engine_parallel(once, engine_workers):
 
 def test_engine_incremental_vs_scratch(once):
     def run(incremental):
-        config = CheckerConfig(solver_timeout=60.0, incremental=incremental)
+        config = CheckerConfig(incremental=incremental)
         engine_config = EngineConfig(workers=0, checker=config,
                                      cache_enabled=False)
         return check_corpus(_corpus(), engine_config=engine_config)

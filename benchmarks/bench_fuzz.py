@@ -92,7 +92,7 @@ def test_fuzz_campaign_acceptance_scale(tmp_path, fast_mode, engine_workers,
 
     # ... and every distinct MiniC reproducer still reproduces the verdict
     # when re-checked from scratch, outside the campaign.
-    config = CheckerConfig(solver_timeout=None, minimize_ub_sets=False)
+    config = CheckerConfig(minimize_ub_sets=False)
     seen = set()
     for record in flagged:
         reduced = record["reduced"]

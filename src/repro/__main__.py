@@ -53,6 +53,7 @@ from typing import List, Optional
 
 from repro.api import check_source
 from repro.core.checker import CheckerConfig
+from repro.solver.solver import DEFAULT_MAX_PROPAGATIONS
 
 
 def _add_version(parser: argparse.ArgumentParser) -> None:
@@ -95,11 +96,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="additionally run the seeded differential "
                              "optimizer campaign for this file against every "
                              "compiler profile and print the table")
-    parser.add_argument("--timeout", type=float, default=5.0, metavar="SECONDS",
-                        help="per-query solver timeout (default: 5.0)")
-    parser.add_argument("--max-conflicts", type=int, default=50_000,
-                        metavar="N", help="per-query CDCL conflict budget "
-                                          "(default: 50000)")
+    parser.add_argument("--max-propagations", type=int,
+                        default=DEFAULT_MAX_PROPAGATIONS, metavar="N",
+                        help="per-query SAT propagation budget "
+                             f"(default: {DEFAULT_MAX_PROPAGATIONS})")
     parser.add_argument("--no-incremental", action="store_true",
                         help="solve every query from scratch instead of "
                              "batching into incremental contexts")
@@ -244,12 +244,10 @@ def build_cluster_parser() -> argparse.ArgumentParser:
                              "records, run summary) to PATH")
     parser.add_argument("--cache", metavar="PATH", default=None,
                         help="warm and flush the solver-query cache at PATH")
-    parser.add_argument("--timeout", type=float, default=5.0,
-                        metavar="SECONDS",
-                        help="per-query solver timeout (default: 5.0)")
-    parser.add_argument("--max-conflicts", type=int, default=50_000,
-                        metavar="N", help="per-query CDCL conflict budget "
-                                          "(default: 50000)")
+    parser.add_argument("--max-propagations", type=int,
+                        default=DEFAULT_MAX_PROPAGATIONS, metavar="N",
+                        help="per-query SAT propagation budget "
+                             f"(default: {DEFAULT_MAX_PROPAGATIONS})")
     parser.add_argument("--no-cluster", action="store_true",
                         help="check the same corpus exhaustively instead "
                              "(A/B baseline)")
@@ -283,8 +281,7 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
 
     config = EngineConfig(
         workers=args.workers,
-        checker=CheckerConfig(solver_timeout=args.timeout,
-                              max_conflicts=args.max_conflicts,
+        checker=CheckerConfig(max_propagations=args.max_propagations,
                               cluster=not args.no_cluster),
         cache_path=args.cache,
         results_path=args.out,
@@ -339,13 +336,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--results-dir", metavar="DIR", default=None,
                         help="also write one <job>.jsonl result stream per "
                              "job under DIR")
-    parser.add_argument("--timeout", type=float, default=5.0,
-                        metavar="SECONDS",
-                        help="default per-query solver timeout "
-                             "(default: 5.0; jobs may override)")
-    parser.add_argument("--max-conflicts", type=int, default=50_000,
-                        metavar="N", help="default per-query CDCL conflict "
-                                          "budget (default: 50000)")
+    parser.add_argument("--max-propagations", type=int,
+                        default=DEFAULT_MAX_PROPAGATIONS, metavar="N",
+                        help="default per-query SAT propagation budget "
+                             f"(default: {DEFAULT_MAX_PROPAGATIONS}; "
+                             "jobs may override)")
     parser.add_argument("--max-queue", type=int, default=4096, metavar="N",
                         help="global bound on admitted-but-undispatched "
                              "units (default: 4096)")
@@ -410,8 +405,7 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     while True:                               # one iteration per SIGHUP reload
         config = ServeConfig(
             socket_path=args.socket, workers=args.workers,
-            checker=CheckerConfig(solver_timeout=args.timeout,
-                                  max_conflicts=args.max_conflicts),
+            checker=CheckerConfig(max_propagations=args.max_propagations),
             cache_path=args.cache, results_dir=args.results_dir,
             max_queued_units=args.max_queue, client_quota=args.quota,
             trace_path=args.trace, log_path=args.log,
@@ -468,9 +462,10 @@ def build_submit_parser() -> argparse.ArgumentParser:
                              "(default: 0)")
     parser.add_argument("--name", metavar="NAME", default="repro-submit",
                         help="client name reported to the daemon")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="per-query solver timeout override for this job")
+    parser.add_argument("--max-propagations", type=int, default=None,
+                        metavar="N",
+                        help="per-query SAT propagation budget override "
+                             "for this job")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="also append every streamed record to PATH "
                              "(reproduces a batch run's results file)")
@@ -513,8 +508,8 @@ def submit_main(argv: Optional[List[str]] = None) -> int:
             print("error: empty job (pass source files or --stdin)",
                   file=sys.stderr)
             return 2
-        checker = {"solver_timeout": args.timeout} \
-            if args.timeout is not None else None
+        checker = {"max_propagations": args.max_propagations} \
+            if args.max_propagations is not None else None
         try:
             job = client.submit(units, priority=args.priority,
                                 checker=checker)
@@ -625,8 +620,7 @@ def check_main(argv: Optional[List[str]] = None) -> int:
         filename = args.source
 
     config = CheckerConfig(
-        solver_timeout=args.timeout,
-        max_conflicts=args.max_conflicts,
+        max_propagations=args.max_propagations,
         incremental=not args.no_incremental,
         validate_witnesses=args.validate,
         witness_seed=args.seed,

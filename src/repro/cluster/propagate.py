@@ -95,10 +95,9 @@ class ClusterConfirmer:
     """
 
     def __init__(self, representative: ClusterMember,
-                 timeout: Optional[float], max_conflicts: Optional[int]) -> None:
+                 max_propagations: Optional[int]) -> None:
         self.representative = representative
-        self.timeout = timeout
-        self.max_conflicts = max_conflicts
+        self.max_propagations = max_propagations
         self.manager = TermManager()
         self.encoder = FunctionEncoder(representative.function, self.manager)
         self.return_term = _return_term(self.encoder)
@@ -122,8 +121,8 @@ class ClusterConfirmer:
         encoder = FunctionEncoder(aligned, self.manager)
         member_return = _return_term(encoder)
         if member_return is self.return_term:
-            solver = Solver(self.manager, timeout=self.timeout,
-                            max_conflicts=self.max_conflicts)
+            solver = Solver(self.manager,
+                            max_propagations=self.max_propagations)
             solver.add(self.manager.distinct(self.return_term, member_return))
             return solver.check() is CheckResult.UNSAT
 
@@ -144,8 +143,7 @@ class ClusterConfirmer:
         terms.extend(self.well_defined)
         terms.append(self.manager.distinct(self.return_term, member_return))
 
-        solver = Solver(self.manager, timeout=self.timeout,
-                        max_conflicts=self.max_conflicts)
+        solver = Solver(self.manager, max_propagations=self.max_propagations)
         for term in terms:
             solver.add(term)
         for definitions in (self.encoder.definitions_for(*terms),
@@ -247,8 +245,7 @@ def propagate_clusters(
             started = time.monotonic()
             if confirmer is None:
                 confirmer = ClusterConfirmer(representative,
-                                             config.solver_timeout,
-                                             config.max_conflicts)
+                                             config.max_propagations)
             report: Optional[FunctionReport] = None
             with span("cluster.confirm", member=member.label) as confirm_span:
                 confirmed = confirmer.confirm(member)

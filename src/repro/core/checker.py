@@ -53,16 +53,16 @@ from repro.ir.instructions import Instruction
 from repro.ir.printer import print_instruction
 from repro.ir.verifier import verify_module
 from repro.obs.trace import span
+from repro.solver.solver import DEFAULT_MAX_PROPAGATIONS
 
 
 @dataclass
 class CheckerConfig:
     """Configuration of a checker run."""
 
-    #: Per-query solver timeout in seconds (the paper uses 5 s).
-    solver_timeout: float = 5.0
-    #: Additional deterministic budget: maximum CDCL conflicts per query.
-    max_conflicts: int = 50_000
+    #: Per-query budget in SAT propagations (the paper gives Boolector 5 s;
+    #: this is about as much CDCL work, counted without the clock).
+    max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS
     #: Batch related queries into incremental solver contexts (shared base
     #: asserted once, per-query deltas as assumptions, learned clauses and
     #: bit-blasted encodings retained).  Disable to solve every query from
@@ -159,8 +159,8 @@ class StackChecker:
         started = time.monotonic()
         with span("stage2.encode", function=function.name):
             encoder = FunctionEncoder(function)
-            engine = QueryEngine(encoder, timeout=self.config.solver_timeout,
-                                 max_conflicts=self.config.max_conflicts,
+            engine = QueryEngine(encoder,
+                                 max_propagations=self.config.max_propagations,
                                  cache=self.query_cache,
                                  incremental=self.config.incremental,
                                  backend=self.config.backend)
@@ -222,8 +222,7 @@ class StackChecker:
             with span("stage5.witness", diagnostics=len(witness_work)):
                 counts = validate_diagnostics(
                     function, encoder, witness_work,
-                    timeout=self.config.solver_timeout,
-                    max_conflicts=self.config.max_conflicts,
+                    max_propagations=self.config.max_propagations,
                     seed=self.config.witness_seed)
             result.witnesses_confirmed = counts["confirmed"]
             result.witnesses_unconfirmed = counts["unconfirmed"]

@@ -1,9 +1,10 @@
 """Query execution for the solver-based optimizer.
 
 Each elimination/simplification decision is one satisfiability query.  The
-:class:`QueryEngine` issues them, applies the per-query timeout (the paper
-uses 5 s with Boolector), and tracks the counters reported in Figure 16
-(#queries and #query timeouts).
+:class:`QueryEngine` issues them under a per-query propagation budget (it
+stands in for the paper's 5 s Boolector timeout but does not depend on the
+clock), and tracks the counters reported in Figure 16 (#queries, and as
+#query timeouts the queries that exhausted the budget).
 
 Queries come in *batches*: for one unstable-code candidate the checker asks
 an elimination or simplification question and then re-asks it under the
@@ -37,7 +38,8 @@ from typing import Dict, List, Optional, Sequence, Set
 from repro.core.encode import FunctionEncoder
 from repro.obs.ops import note_query
 from repro.obs.trace import span
-from repro.solver.solver import CheckResult, Solver, SolverStats
+from repro.solver.solver import (DEFAULT_MAX_PROPAGATIONS, CheckResult,
+                                 Solver, SolverStats)
 from repro.solver.terms import Term
 
 
@@ -108,8 +110,9 @@ class QueryContext:
     def is_unsat(self, deltas: Sequence[Term] = ()) -> Optional[bool]:
         """Decide whether base ∧ deltas (∧ their definitions) is UNSAT.
 
-        Returns True (UNSAT), False (SAT), or None when the query timed out
-        (in which case the checker conservatively assumes nothing).
+        Returns True (UNSAT), False (SAT), or None when the query exhausted
+        its budget (in which case the checker conservatively assumes
+        nothing).
         """
         if self._closed:
             raise RuntimeError("query context is closed")
@@ -128,8 +131,7 @@ class QueryContext:
 
                 key = canonical_query_key(goal, engine._key_memo)
                 verdict = engine.cache.lookup(
-                    key, timeout=engine.timeout,
-                    max_conflicts=engine.max_conflicts)
+                    key, max_propagations=engine.max_propagations)
                 if verdict is not None:
                     engine.stats.cache_hits += 1
                     query_span.set_arg("verdict", verdict)
@@ -145,8 +147,8 @@ class QueryContext:
                 result = solver.check(assumptions=list(deltas))
                 elapsed = solver.stats.total_time - before
             else:
-                solver = Solver(engine.encoder.manager, timeout=engine.timeout,
-                                max_conflicts=engine.max_conflicts,
+                solver = Solver(engine.encoder.manager,
+                                max_propagations=engine.max_propagations,
                                 backend=engine.backend)
                 for term in goal:
                     solver.add(term)
@@ -156,8 +158,8 @@ class QueryContext:
 
             verdict = result.value
             if engine.cache is not None and key is not None:
-                engine.cache.store(key, verdict, timeout=engine.timeout,
-                                   max_conflicts=engine.max_conflicts,
+                engine.cache.store(key, verdict,
+                                   max_propagations=engine.max_propagations,
                                    elapsed=elapsed)
             note_query(key, verdict, elapsed, engine.backend)
             query_span.set_arg("verdict", verdict)
@@ -176,14 +178,13 @@ class QueryContext:
 class QueryEngine:
     """Issues satisfiability queries for one function's encoder."""
 
-    def __init__(self, encoder: FunctionEncoder, timeout: Optional[float] = 5.0,
-                 max_conflicts: Optional[int] = 50_000,
+    def __init__(self, encoder: FunctionEncoder,
+                 max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
                  cache: Optional["SolverQueryCache"] = None,
                  incremental: bool = True,
                  backend: str = "builtin") -> None:
         self.encoder = encoder
-        self.timeout = timeout
-        self.max_conflicts = max_conflicts
+        self.max_propagations = max_propagations
         self.cache = cache
         self.incremental = incremental
         self.backend = backend
@@ -209,7 +210,7 @@ class QueryEngine:
     def is_unsat(self, terms: Sequence[Term]) -> Optional[bool]:
         """One-shot query: decide whether the conjunction of ``terms`` is UNSAT.
 
-        Returns True (UNSAT), False (SAT), or None when the query timed out.
+        Returns True (UNSAT), False (SAT), or None when the budget ran out.
         Batched callers should prefer :meth:`context`.
         """
         with self.context(terms) as ctx:
@@ -219,11 +220,9 @@ class QueryEngine:
 
     def _shared(self) -> Solver:
         if self._shared_solver is None:
-            self._shared_solver = Solver(self.encoder.manager,
-                                         timeout=self.timeout,
-                                         max_conflicts=self.max_conflicts,
-                                         incremental=True,
-                                         backend=self.backend)
+            self._shared_solver = Solver(
+                self.encoder.manager, max_propagations=self.max_propagations,
+                incremental=True, backend=self.backend)
         return self._shared_solver
 
     @property

@@ -38,11 +38,15 @@ The design points that matter for soundness and speed:
   moved to ``hash()``.  Such entries simply miss: the key is the SHA-256
   of the full serialization, so a hit is never wrong.
 * **Budget-qualified UNKNOWN.**  SAT and UNSAT verdicts are valid under any
-  budget, but a timeout observed under a small budget says nothing about a
-  larger one.  Each entry records the budget it was computed under, and an
-  ``unknown`` verdict is only replayed when the cached budget covers the
-  requested one — which is exactly what lets the engine's timeout-escalation
-  retries re-solve instead of replaying a stale timeout.
+  budget, but a budget exhausted at a small size says nothing about a
+  larger one.  Each entry records the propagation budget it was computed
+  under, and an ``unknown`` verdict is only replayed when the cached budget
+  covers the requested one — which is exactly what lets the engine's
+  escalation retries re-solve instead of replaying a stale ``unknown``.
+  The budget does not depend on the clock, so neither does a replayed
+  ``unknown``.  Files written when the budget was a deadline or a conflict
+  count hold ``unknown`` entries with no ``max_propagations``; the reader
+  skips those and keeps their ``sat`` and ``unsat`` entries.
 
 The cache sits *above* the incremental solving layer: every logical query —
 batched into an incremental context or not — is content-addressed over the
@@ -213,31 +217,25 @@ class CacheEntry:
 
     key: str
     verdict: str
-    timeout: Optional[float] = None
-    max_conflicts: Optional[int] = None
+    max_propagations: Optional[int] = None
     elapsed: float = 0.0
 
     def as_dict(self) -> Dict[str, object]:
         return {"key": self.key, "verdict": self.verdict,
-                "timeout": self.timeout, "max_conflicts": self.max_conflicts,
+                "max_propagations": self.max_propagations,
                 "elapsed": round(self.elapsed, 6)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "CacheEntry":
         return cls(key=str(data["key"]), verdict=str(data["verdict"]),
-                   timeout=data.get("timeout"),
-                   max_conflicts=data.get("max_conflicts"),
+                   max_propagations=data.get("max_propagations"),
                    elapsed=float(data.get("elapsed", 0.0)))
 
-    def budget_covers(self, timeout: Optional[float],
-                      max_conflicts: Optional[int]) -> bool:
+    def budget_covers(self, max_propagations: Optional[int]) -> bool:
         """True if this entry's budget is at least the requested budget."""
-        if self.timeout is not None and (timeout is None or self.timeout < timeout):
-            return False
-        if self.max_conflicts is not None and \
-                (max_conflicts is None or self.max_conflicts < max_conflicts):
-            return False
-        return True
+        return self.max_propagations is None or (
+            max_propagations is not None
+            and self.max_propagations >= max_propagations)
 
     def supersedes(self, existing: Optional["CacheEntry"]) -> bool:
         """True if this entry should replace ``existing`` for the same key.
@@ -251,16 +249,17 @@ class CacheEntry:
         if existing.verdict != VERDICT_UNKNOWN:
             return False
         return self.verdict != VERDICT_UNKNOWN or \
-            self.budget_covers(existing.timeout, existing.max_conflicts)
+            self.budget_covers(existing.max_propagations)
 
 
 def _read_entries(path: str) -> Iterator[CacheEntry]:
     """The entries of a JSONL cache file, in file order.
 
     A missing file yields nothing.  Blank lines, torn JSON (a line cut short
-    by an interrupted write) and records without a ``key`` or a known
-    ``verdict`` are skipped.  A key may appear more than once; callers keep
-    the last.
+    by an interrupted write), records without a ``key`` or a known
+    ``verdict``, and ``unknown`` records without a ``max_propagations``
+    (written under an older, clock- or conflict-counted budget) are skipped.
+    A key may appear more than once; callers keep the last.
     """
     if not os.path.exists(path):
         return
@@ -275,6 +274,9 @@ def _read_entries(path: str) -> Iterator[CacheEntry]:
                 continue
             if not isinstance(data, dict) or "key" not in data \
                     or data.get("verdict") not in _VERDICTS:
+                continue
+            if data["verdict"] == VERDICT_UNKNOWN \
+                    and "max_propagations" not in data:
                 continue
             yield CacheEntry.from_dict(data)
 
@@ -337,8 +339,8 @@ class SolverQueryCache:
 
     # -- lookup / store -----------------------------------------------------------
 
-    def lookup(self, key: str, timeout: Optional[float] = None,
-               max_conflicts: Optional[int] = None) -> Optional[str]:
+    def lookup(self, key: str,
+               max_propagations: Optional[int] = None) -> Optional[str]:
         """Return the cached verdict for ``key``, or None on a miss.
 
         An ``unknown`` verdict only counts as a hit when it was computed
@@ -349,20 +351,21 @@ class SolverQueryCache:
             self.misses += 1
             return None
         if entry.verdict == VERDICT_UNKNOWN and \
-                not entry.budget_covers(timeout, max_conflicts):
+                not entry.budget_covers(max_propagations):
             self.misses += 1
             return None
         self._entries.move_to_end(key)
         self.hits += 1
         return entry.verdict
 
-    def store(self, key: str, verdict: str, timeout: Optional[float] = None,
-              max_conflicts: Optional[int] = None, elapsed: float = 0.0) -> None:
+    def store(self, key: str, verdict: str,
+              max_propagations: Optional[int] = None,
+              elapsed: float = 0.0) -> None:
         """Record a verdict computed under the given budget."""
         if verdict not in _VERDICTS:
             raise ValueError(f"unknown verdict {verdict!r}")
-        entry = CacheEntry(key=key, verdict=verdict, timeout=timeout,
-                           max_conflicts=max_conflicts, elapsed=elapsed)
+        entry = CacheEntry(key=key, verdict=verdict,
+                           max_propagations=max_propagations, elapsed=elapsed)
         if not entry.supersedes(self._entries.get(key)):
             self._entries.move_to_end(key)
             return

@@ -49,8 +49,8 @@ class EngineConfig:
     cache_enabled: bool = True
     #: JSONL file the cache is warmed from and flushed to (None = in-memory only).
     cache_path: Optional[str] = None
-    #: Cumulative budget multipliers for retrying functions with query
-    #: timeouts: a unit is retried under base*4, then base*16 by default.
+    #: Cumulative budget multipliers for retrying functions whose queries
+    #: exhausted their budget: base*4, then base*16 by default.
     escalation_factors: Tuple[float, ...] = (4.0, 16.0)
     #: JSONL file streaming one record per finished unit plus a run summary.
     results_path: Optional[str] = None

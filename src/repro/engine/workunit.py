@@ -89,27 +89,25 @@ class UnitResult:
 
 def escalate_config(config: CheckerConfig, factor: float) -> CheckerConfig:
     """A copy of ``config`` with the per-query budget scaled by ``factor``."""
-    timeout = None if config.solver_timeout is None \
-        else config.solver_timeout * factor
-    conflicts = None if config.max_conflicts is None \
-        else max(1, int(config.max_conflicts * factor))
-    return dataclasses.replace(config, solver_timeout=timeout,
-                               max_conflicts=conflicts)
+    budget = config.max_propagations
+    if budget is not None:
+        budget = max(1, int(budget * factor))
+    return dataclasses.replace(config, max_propagations=budget)
 
 
 def check_work_unit(unit: WorkUnit, config: CheckerConfig,
                     cache: Optional[SolverQueryCache] = None,
                     escalation_factors: Sequence[float] = (),
                     drain_cache: bool = True) -> UnitResult:
-    """Check one work unit, escalating the budget for timing-out functions.
+    """Check one work unit, escalating the budget for starved functions.
 
-    The base pass checks the whole module.  While any function reports query
-    timeouts and escalation steps remain, only those functions are re-checked
-    under the next (cumulatively scaled) budget; their reports replace the
-    starved ones.  Cached SAT/UNSAT verdicts are replayed across attempts,
-    while cached ``unknown`` verdicts are ignored under a larger budget
-    (see :mod:`repro.engine.cache`), so a retry re-solves exactly the
-    queries that timed out.
+    The base pass checks the whole module.  While any function reports
+    queries that exhausted their budget and escalation steps remain, only
+    those functions are re-checked under the next (cumulatively scaled)
+    budget; their reports replace the starved ones.  Cached SAT/UNSAT
+    verdicts are replayed across attempts, while cached ``unknown`` verdicts
+    are ignored under a larger budget (see :mod:`repro.engine.cache`), so a
+    retry re-solves exactly the queries that ran out of budget.
 
     With ``config.trace`` set, the unit runs under a fresh tracer whose
     serialized spans ride home in ``meta["obs"]`` (see module docstring).

@@ -45,7 +45,7 @@ from repro.exec.interp import ExecResult, ExecStatus, ExternalEnv, run_function
 from repro.ir.function import Function, Module
 from repro.ir.instructions import Call, Instruction, Load
 from repro.obs.trace import span
-from repro.solver.solver import CheckResult, Solver
+from repro.solver.solver import DEFAULT_MAX_PROPAGATIONS, CheckResult, Solver
 from repro.solver.terms import Term
 
 
@@ -101,11 +101,11 @@ class WitnessReport:
 FULL_CAPABILITIES = frozenset(Capability)
 
 
-def solve_witness_model(encoder: FunctionEncoder, hypothesis: Sequence[Term],
-                        conditions: Sequence[UBCondition],
-                        timeout: Optional[float] = 5.0,
-                        max_conflicts: Optional[int] = 50_000,
-                        ) -> Optional[Dict[str, int]]:
+def solve_witness_model(
+        encoder: FunctionEncoder, hypothesis: Sequence[Term],
+        conditions: Sequence[UBCondition],
+        max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
+) -> Optional[Dict[str, int]]:
     """A model of ``hypothesis`` that also trips a reported UB condition.
 
     First tries the strengthened query (hypothesis ∧ ⋁ U_d); if that is not
@@ -121,7 +121,7 @@ def solve_witness_model(encoder: FunctionEncoder, hypothesis: Sequence[Term],
     attempts.append(list(hypothesis))
 
     for terms in attempts:
-        solver = Solver(manager, timeout=timeout, max_conflicts=max_conflicts)
+        solver = Solver(manager, max_propagations=max_propagations)
         for term in terms:
             solver.add(term)
         for definition in encoder.definitions_for(*terms):
@@ -157,20 +157,19 @@ def model_to_inputs(encoder: FunctionEncoder,
     return args, overrides
 
 
-def replay_diagnostic(function: Function, encoder: FunctionEncoder,
-                      diagnostic: Diagnostic, hypothesis: Sequence[Term],
-                      conditions: Sequence[UBCondition],
-                      module: Optional[Module] = None,
-                      fuel: int = 50_000,
-                      timeout: Optional[float] = 5.0,
-                      max_conflicts: Optional[int] = 50_000,
-                      seed: int = 0) -> WitnessReport:
+def replay_diagnostic(
+        function: Function, encoder: FunctionEncoder,
+        diagnostic: Diagnostic, hypothesis: Sequence[Term],
+        conditions: Sequence[UBCondition],
+        module: Optional[Module] = None, fuel: int = 50_000,
+        max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
+        seed: int = 0) -> WitnessReport:
     """Extract a witness for one diagnostic and replay it pre/post optimizer."""
     reported = tuple(dict.fromkeys(diagnostic.ub_kinds)) or \
         tuple(dict.fromkeys(c.kind for c in conditions))
 
     model = solve_witness_model(encoder, hypothesis, conditions,
-                                timeout=timeout, max_conflicts=max_conflicts)
+                                max_propagations=max_propagations)
     if model is None:
         return WitnessReport(WitnessVerdict.INCONCLUSIVE,
                              reason="no satisfying model within budget",
@@ -223,15 +222,14 @@ def _judge(pre: ExecResult, post: ExecResult, inputs: Dict[str, int],
     return report
 
 
-def validate_diagnostics(function: Function, encoder: FunctionEncoder,
-                         findings: Sequence[Tuple[Diagnostic, Sequence[Term],
-                                                  Sequence[UBCondition]]],
-                         module: Optional[Module] = None,
-                         fuel: int = 50_000,
-                         timeout: Optional[float] = 5.0,
-                         max_conflicts: Optional[int] = 50_000,
-                         seed: int = 0,
-                         rng: Optional[random.Random] = None) -> Dict[str, int]:
+def validate_diagnostics(
+        function: Function, encoder: FunctionEncoder,
+        findings: Sequence[Tuple[Diagnostic, Sequence[Term],
+                                 Sequence[UBCondition]]],
+        module: Optional[Module] = None, fuel: int = 50_000,
+        max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
+        seed: int = 0,
+        rng: Optional[random.Random] = None) -> Dict[str, int]:
     """Stage-5 entry point used by the checker.
 
     Replays every ``(diagnostic, hypothesis, conditions)`` triple, attaches
@@ -248,8 +246,9 @@ def validate_diagnostics(function: Function, encoder: FunctionEncoder,
         with span("witness.replay") as replay_span:
             witness = replay_diagnostic(function, encoder, diagnostic,
                                         hypothesis, conditions, module=module,
-                                        fuel=fuel, timeout=timeout,
-                                        max_conflicts=max_conflicts, seed=seed)
+                                        fuel=fuel,
+                                        max_propagations=max_propagations,
+                                        seed=seed)
             replay_span.set_arg("verdict", witness.verdict.value)
         diagnostic.witness = witness
         counts[witness.verdict.value] += 1

@@ -5,8 +5,10 @@ solver queries, and query timeouts for three systems (705, 770, and 14,136
 files).  The reproduction builds scaled synthetic corpora with the same
 *relative* sizes, measures real build (frontend+lowering) and analysis
 (checker) time, and reports the measured query/timeout counts next to the
-paper's numbers.  Absolute times are expected to differ (pure-Python solver
-vs. Boolector on a 2013 Xeon); the shape — Linux ≫ Postgres ≫ Kerberos,
+paper's numbers.  A query "times out" here when it exhausts its propagation
+budget, which stands in for the paper's 5 s Boolector timeout.  Absolute
+times are expected to differ (pure-Python solver vs. Boolector on a 2013
+Xeon); the shape — Linux ≫ Postgres ≫ Kerberos,
 timeouts well under 1 % — is the reproduction target.
 """
 

@@ -13,9 +13,10 @@ Three properties are load-bearing and tested by ``benchmarks/bench_fuzz.py``:
 * **Determinism per seed.**  One ``random.Random(seed)`` instance drives
   everything — scenario scheduling, program parameters, the stage-5 witness
   replay seed, and the differential runner's input vectors.  Solver budgets
-  are conflict-counted (no wall-clock timeout) and the JSONL records carry
-  no timing, so two runs with one seed are byte-identical — regardless of
-  worker count, because the engine returns results in submission order.
+  are counted in propagations (never on the clock) and the JSONL records
+  carry no timing, so two runs with one seed are byte-identical —
+  regardless of worker count, because the engine returns results in
+  submission order.
 * **Zero unexplained miscompiles.**  Every divergence the differential
   runner observes on a UB-free execution is a miscompile and is counted
   (and, like any unstable finding, reduced); the built-in profiles must
@@ -80,8 +81,6 @@ class FuzzConfig:
     differential: bool = True
     #: Stage-6 auto-repair for every diagnostic (off by default: slow).
     repair: bool = False
-    #: Per-query CDCL conflict budget (no wall-clock timeout: determinism).
-    max_conflicts: int = 50_000
     #: Chrome trace-event JSON path; enables span recording across every
     #: engine batch (docs/OBSERVABILITY.md).  The JSONL stream stays
     #: byte-identical — spans never enter campaign records.
@@ -90,8 +89,6 @@ class FuzzConfig:
     def checker_config(self, witness_seed: int) -> CheckerConfig:
         """The deterministic checker configuration campaign units run under."""
         return CheckerConfig(
-            solver_timeout=None,
-            max_conflicts=self.max_conflicts,
             validate_witnesses=self.validate_witnesses,
             witness_seed=witness_seed,
             repair=self.repair,

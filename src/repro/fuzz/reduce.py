@@ -58,15 +58,15 @@ def _reduction_config(base: Optional[CheckerConfig] = None) -> CheckerConfig:
     """The cheap, deterministic checker configuration reduction runs under.
 
     Minimal UB sets, classification, witnesses, and repair contribute
-    nothing to the interestingness predicate, so they are switched off; a
-    conflict budget with no wall-clock timeout keeps every candidate's
-    verdict reproducible.
+    nothing to the interestingness predicate, so they are switched off.  The
+    propagation budget does not depend on the clock, so every candidate's
+    verdict is reproducible.
     """
     import dataclasses
 
     base = base if base is not None else CheckerConfig()
     return dataclasses.replace(
-        base, solver_timeout=None, minimize_ub_sets=False, classify=False,
+        base, minimize_ub_sets=False, classify=False,
         validate_witnesses=False, repair=False)
 
 

@@ -147,8 +147,7 @@ def repair_diagnostic(function: Function, encoder: FunctionEncoder,
         if not witness_model_memo:
             witness_model_memo.append(solve_witness_model(
                 encoder, hypothesis, conditions,
-                timeout=config.solver_timeout,
-                max_conflicts=config.max_conflicts))
+                max_propagations=config.max_propagations))
         return witness_model_memo[0]
 
     rejections: Dict[str, int] = {}
@@ -157,10 +156,8 @@ def repair_diagnostic(function: Function, encoder: FunctionEncoder,
     # The equivalence proof is one query standing in for a hand-written
     # patch review; it gets the same 4x escalation the engine grants
     # starved functions.
-    equivalence_timeout = None if config.solver_timeout is None \
-        else config.solver_timeout * 4
-    equivalence_conflicts = None if config.max_conflicts is None \
-        else config.max_conflicts * 4
+    equivalence_budget = None if config.max_propagations is None \
+        else config.max_propagations * 4
     for candidate in candidates:
         gates: List[GateResult] = []
         memo_key = None
@@ -176,8 +173,7 @@ def repair_diagnostic(function: Function, encoder: FunctionEncoder,
             with span("repair.gate.equivalence", template=candidate.template):
                 equivalence = prove_equivalence(
                     function, candidate.patched,
-                    timeout=equivalence_timeout,
-                    max_conflicts=equivalence_conflicts)
+                    max_propagations=equivalence_budget)
             recheck = None
             if equivalence.passed:
                 with span("repair.gate.recheck", template=candidate.template):
@@ -207,8 +203,7 @@ def repair_diagnostic(function: Function, encoder: FunctionEncoder,
             with span("repair.gate.replay", template=candidate.template):
                 replay = replay_original_witness(
                     candidate.patched, encoder, hypothesis, conditions,
-                    timeout=config.solver_timeout,
-                    max_conflicts=config.max_conflicts,
+                    max_propagations=config.max_propagations,
                     seed=config.witness_seed, model=model)
         gates.append(replay)
         if not replay.passed:

@@ -45,7 +45,7 @@ from repro.ir.function import Function
 from repro.ir.instructions import Alloca, BinaryOp, BinOpKind, Call, Instruction, Load
 from repro.ir.values import GlobalVariable, UndefValue
 from repro.ir.verifier import verify_function
-from repro.solver.solver import CheckResult, Solver
+from repro.solver.solver import DEFAULT_MAX_PROPAGATIONS, CheckResult, Solver
 from repro.solver.terms import Term, TermManager
 
 
@@ -163,9 +163,10 @@ def _well_defined_original(enc_a: FunctionEncoder) -> List[Term]:
     return assumptions
 
 
-def prove_equivalence(original: Function, patched: Function,
-                      timeout: Optional[float] = 5.0,
-                      max_conflicts: Optional[int] = 50_000) -> GateResult:
+def prove_equivalence(
+        original: Function, patched: Function,
+        max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
+) -> GateResult:
     """Gate 1: original ≡ patched on every UB-free input of the original."""
     gate = "solver-equivalence"
     # Both functions are encoded under the same name into one manager, so
@@ -191,7 +192,7 @@ def prove_equivalence(original: Function, patched: Function,
     terms.extend(_well_defined_original(enc_a))
     terms.append(manager.distinct(ret_a, ret_b))
 
-    solver = Solver(manager, timeout=timeout, max_conflicts=max_conflicts)
+    solver = Solver(manager, max_propagations=max_propagations)
     for term in terms:
         solver.add(term)
     for definitions in (enc_a.definitions_for(*terms),
@@ -268,15 +269,13 @@ def recheck_stability(patched: Function, config,
                       f"({len(profiles)} profiles)")
 
 
-def replay_original_witness(patched: Function, encoder: FunctionEncoder,
-                            hypothesis: Sequence[Term],
-                            conditions: Sequence[UBCondition],
-                            fuel: int = 50_000,
-                            timeout: Optional[float] = 5.0,
-                            max_conflicts: Optional[int] = 50_000,
-                            seed: int = 0,
-                            model: Optional[Dict[str, int]] = None,
-                            ) -> GateResult:
+def replay_original_witness(
+        patched: Function, encoder: FunctionEncoder,
+        hypothesis: Sequence[Term], conditions: Sequence[UBCondition],
+        fuel: int = 50_000,
+        max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
+        seed: int = 0, model: Optional[Dict[str, int]] = None,
+) -> GateResult:
     """Gate 3: the diagnostic's own witness no longer splits the compilers.
 
     The model depends only on the diagnostic (not the candidate), so the
@@ -286,8 +285,7 @@ def replay_original_witness(patched: Function, encoder: FunctionEncoder,
     gate = "witness-replay"
     if model is None:
         model = solve_witness_model(encoder, hypothesis, conditions,
-                                    timeout=timeout,
-                                    max_conflicts=max_conflicts)
+                                    max_propagations=max_propagations)
     if model is None:
         return GateResult(gate, False,
                           "no witness model within the solver budget")

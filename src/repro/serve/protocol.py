@@ -13,7 +13,7 @@ Client → server messages carry an ``op`` key::
 
     {"op": "hello",  "client": "ci-fleet", "proto": 1}
     {"op": "submit", "units": [{"name": "a.c", "source": "..."}],
-     "priority": 5, "checker": {"solver_timeout": 5.0}}
+     "priority": 5, "checker": {"max_propagations": 4000000}}
     {"op": "cancel", "job": "job-3"}
     {"op": "status"}
     {"op": "ping"}
@@ -61,8 +61,7 @@ MAX_LINE_BYTES = 64 * 1024 * 1024
 #: wire surface reviewable: everything else comes from the server's default
 #: checker configuration.
 CHECKER_OVERRIDES = (
-    "solver_timeout",
-    "max_conflicts",
+    "max_propagations",
     "incremental",
     "inline",
     "validate_witnesses",
@@ -154,10 +153,6 @@ def _check_override_value(key: str, value: object) -> object:
         valid = isinstance(value, bool)
     elif expected is int:
         valid = isinstance(value, int) and not isinstance(value, bool)
-    elif expected is float:
-        valid = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if valid:
-            value = float(value)
     else:
         valid = isinstance(value, expected)
     if not valid:

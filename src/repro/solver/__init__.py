@@ -13,9 +13,9 @@ vectors (QF_BV).  This package provides a self-contained replacement:
 * :mod:`repro.solver.bitblast` — bit-blasting of bit-vector terms to CNF,
   memoized per hash-consed term id.
 * :mod:`repro.solver.sat` — an incremental CDCL SAT solver (two-watched
-  literals, VSIDS, restarts, assumptions, per-call budgets).
+  literals, VSIDS, restarts, assumptions, a per-call propagation budget).
 * :mod:`repro.solver.solver` — the :class:`Solver` facade with assertion
-  stacks, models and per-query timeouts.
+  stacks, models and the per-query budget ``DEFAULT_MAX_PROPAGATIONS``.
 * :mod:`repro.solver.backends` — pluggable SAT backends behind the facade
   (in-process CDCL by default, python-sat, external DIMACS binaries; one
   per solver, ``Solver(backend=...)``) and the oracle pre-answer chain.

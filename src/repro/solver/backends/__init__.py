@@ -6,31 +6,46 @@ filters it down to what the current environment can actually run (the
 command in ``REPRO_SAT_BINARY``).  The :class:`~repro.solver.solver.Solver`
 facade resolves a ``backend=`` name through :func:`backend_class` and
 hands each bit-blasted CNF to one instance of it.
+
+The external backends are registered by ``"module:Class"`` path and
+imported the first time they are named, so a default check never imports
+:mod:`~repro.solver.backends.dimacs` or
+:mod:`~repro.solver.backends.pysat_backend` (import their classes from
+those modules).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Type
+import importlib
+from typing import Dict, List, Type, Union
 
 from repro.solver.backends.base import BackendAnswer, SolverBackend
 from repro.solver.backends.builtin import BuiltinBackend
-from repro.solver.backends.dimacs import SAT_BINARY_ENV, DimacsBackend
 from repro.solver.backends.oracle import (GUESS_PATTERNS, MAX_GUESS_VARIABLES,
                                           OracleAnswer, constant_answer,
                                           evaluation_answer, preanswer)
-from repro.solver.backends.pysat_backend import PysatBackend
 
-#: Name → class registry, in default preference order.
-BACKENDS: Dict[str, Type[SolverBackend]] = {
+#: Name → class (or ``"module:Class"`` path, loaded on first use) registry,
+#: in default preference order.
+BACKENDS: Dict[str, Union[Type[SolverBackend], str]] = {
     "builtin": BuiltinBackend,
-    "pysat": PysatBackend,
-    "dimacs": DimacsBackend,
+    "pysat": "repro.solver.backends.pysat_backend:PysatBackend",
+    "dimacs": "repro.solver.backends.dimacs:DimacsBackend",
 }
+
+
+def _load(name: str) -> Type[SolverBackend]:
+    """The class registered as ``name``, importing its module if needed."""
+    entry = BACKENDS[name]
+    if isinstance(entry, str):
+        module, _, attribute = entry.partition(":")
+        entry = getattr(importlib.import_module(module), attribute)
+    return entry
 
 
 def available_backends() -> List[str]:
     """Names of the backends the current environment can instantiate."""
-    return [name for name, cls in BACKENDS.items() if cls.available()]
+    return [name for name in BACKENDS if _load(name).available()]
 
 
 def backend_class(name: str) -> Type[SolverBackend]:
@@ -40,11 +55,10 @@ def backend_class(name: str) -> Type[SolverBackend]:
     :class:`RuntimeError` when the named backend exists but cannot run
     here (missing package / unset environment).
     """
-    try:
-        cls = BACKENDS[name]
-    except KeyError:
+    if name not in BACKENDS:
         known = ", ".join(sorted(BACKENDS))
         raise ValueError(f"unknown solver backend {name!r} (known: {known})")
+    cls = _load(name)
     if not cls.available():
         raise RuntimeError(f"solver backend {name!r} is not available "
                            "in this environment")
@@ -61,12 +75,9 @@ __all__ = [
     "BACKENDS",
     "BackendAnswer",
     "BuiltinBackend",
-    "DimacsBackend",
     "GUESS_PATTERNS",
     "MAX_GUESS_VARIABLES",
     "OracleAnswer",
-    "PysatBackend",
-    "SAT_BINARY_ENV",
     "SolverBackend",
     "available_backends",
     "backend_class",

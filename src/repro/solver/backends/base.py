@@ -12,11 +12,11 @@ different engines fit behind it — the in-process CDCL solver, CaDiCaL via
   literals exactly as in the builtin incremental mode).  A solver holds one
   backend and feeds it each recorded clause exactly once, from a cursor,
 * **assume** — :meth:`solve` takes per-call assumption literals,
-* **budget** — per-call ``max_conflicts`` and wall-clock ``timeout``; a
-  backend that cannot honor a budget kind treats it as unlimited (the
-  answer is still sound, just possibly more expensive).  There is no
-  cancellation hook: a call returns when it has an answer or its budget is
-  spent,
+* **budget** — a per-call ``max_propagations``, counted in SAT
+  propagations so that it never depends on the clock; a backend that
+  cannot honor it runs unbounded (the answer is still sound, just possibly
+  more expensive).  There is no cancellation hook: a call returns when it
+  has an answer or its budget is spent,
 * **stats** — every answer carries a plain-int counter dict so per-backend
   work lands in :class:`~repro.solver.solver.SolverStats` and the JSONL
   sink.
@@ -77,9 +77,8 @@ class SolverBackend(abc.ABC):
 
     @abc.abstractmethod
     def solve(self, assumptions: Sequence[int] = (),
-              max_conflicts: Optional[int] = None,
-              timeout: Optional[float] = None) -> BackendAnswer:
-        """Decide the clause database under per-call assumptions/budgets."""
+              max_propagations: Optional[int] = None) -> BackendAnswer:
+        """Decide the clause database under per-call assumptions and budget."""
 
     def close(self) -> None:
         """Release external resources (processes, native solver handles)."""

@@ -41,13 +41,12 @@ class BuiltinBackend(SolverBackend):
             self.sat.add_clause(list(clause))
 
     def solve(self, assumptions: Sequence[int] = (),
-              max_conflicts: Optional[int] = None,
-              timeout: Optional[float] = None) -> BackendAnswer:
+              max_propagations: Optional[int] = None) -> BackendAnswer:
         sat = self.sat
         conflicts0, decisions0 = sat.conflicts, sat.decisions
         propagations0, restarts0 = sat.propagations, sat.restarts
         result = sat.solve(assumptions=list(assumptions),
-                           max_conflicts=max_conflicts, timeout=timeout)
+                           max_propagations=max_propagations)
         stats = {
             "conflicts": sat.conflicts - conflicts0,
             "decisions": sat.decisions - decisions0,

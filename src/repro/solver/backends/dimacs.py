@@ -13,9 +13,8 @@ The backend is stateless across calls from the binary's point of view —
 assumptions cannot be retracted any other way through a pipe — so it pays
 a full re-solve and a process start per query.  That is the price of total
 pluggability: it is an escape hatch to a real solver binary, not a fast
-path.
-``max_conflicts`` cannot be forwarded portably and is ignored; ``timeout``
-is enforced by killing the process (answer: UNKNOWN).
+path.  ``max_propagations`` cannot be forwarded portably, so the child
+always runs to completion.
 """
 
 from __future__ import annotations
@@ -86,8 +85,7 @@ class DimacsBackend(SolverBackend):
             self._clauses.append(list(clause))
 
     def solve(self, assumptions: Sequence[int] = (),
-              max_conflicts: Optional[int] = None,
-              timeout: Optional[float] = None) -> BackendAnswer:
+              max_propagations: Optional[int] = None) -> BackendAnswer:
         clauses = self._clauses + [[lit] for lit in assumptions]
         num_vars = max([self._num_vars]
                        + [abs(lit) for c in clauses for lit in c] or [0])
@@ -99,16 +97,9 @@ class DimacsBackend(SolverBackend):
                     "w", suffix=".cnf", delete=False, encoding="utf-8") as cnf:
                 cnf.write(text)
                 path = cnf.name
-            process = subprocess.Popen(
+            process = subprocess.run(
                 self.command + [path],
                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-            try:
-                stdout, _ = process.communicate(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.communicate()
-                return BackendAnswer(result=SatResult.UNKNOWN,
-                                     stats={"solves": 1})
         except OSError as exc:
             raise RuntimeError(
                 f"dimacs backend failed to run {self.command[0]!r}: {exc}")
@@ -119,7 +110,7 @@ class DimacsBackend(SolverBackend):
                 except OSError:
                     pass
 
-        status, model = parse_solver_output(stdout or "")
+        status, model = parse_solver_output(process.stdout or "")
         if status is None:
             # No status line: fall back to the 10/20 exit-code convention.
             if process.returncode == 10:

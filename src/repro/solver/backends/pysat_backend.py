@@ -7,10 +7,9 @@ native solver alive for the facade's lifetime and feeds it the recorded
 clause stream incrementally — CaDiCaL's own incremental interface does the
 rest (assumptions, learned-clause retention).
 
-Budgets: ``max_conflicts`` maps to ``conf_budget``/``solve_limited`` where
-the chosen engine supports limited solving, and ``timeout`` is enforced
-with a timer that interrupts the native solver.  Engines without those hooks fall
-back to an unbounded ``solve`` — sound, just not budgeted.
+Budget: ``max_propagations`` maps to ``prop_budget``/``solve_limited`` where
+the chosen engine supports limited solving.  Engines without those hooks
+run an unbounded ``solve`` — sound, just not budgeted.
 
 ``REPRO_PYSAT_SOLVER`` selects the engine name (default ``cadical195``,
 the ZK-ARCKIT-style bootstrap choice).
@@ -20,7 +19,6 @@ from __future__ import annotations
 
 import importlib.util
 import os
-import threading
 from typing import Optional, Sequence
 
 from repro.solver.backends.base import BackendAnswer, SolverBackend
@@ -47,7 +45,6 @@ class PysatBackend(SolverBackend):
             PYSAT_SOLVER_ENV, DEFAULT_PYSAT_SOLVER)
         self._solver = _PysatSolver(name=self.solver_name)
         self._num_vars = 0
-        self._interrupted = threading.Event()
 
     @classmethod
     def available(cls) -> bool:
@@ -63,40 +60,19 @@ class PysatBackend(SolverBackend):
             self._solver.add_clause(list(clause))
 
     def solve(self, assumptions: Sequence[int] = (),
-              max_conflicts: Optional[int] = None,
-              timeout: Optional[float] = None) -> BackendAnswer:
+              max_propagations: Optional[int] = None) -> BackendAnswer:
         solver = self._solver
-        self._interrupted.clear()
         stats0 = self._accum_stats()
-
-        timer: Optional[threading.Timer] = None
-        limited = max_conflicts is not None or timeout is not None
-        if limited and timeout is not None:
-            timer = threading.Timer(timeout, self._interrupt)
-            timer.daemon = True
-
-        try:
-            if limited:
-                try:
-                    if max_conflicts is not None:
-                        solver.conf_budget(int(max_conflicts))
-                    if timer is not None:
-                        timer.start()
-                    status = solver.solve_limited(
-                        assumptions=list(assumptions), expect_interrupt=True)
-                except NotImplementedError:
-                    # This engine has no limited solving; run unbounded.
-                    status = solver.solve(assumptions=list(assumptions))
-            else:
-                status = solver.solve(assumptions=list(assumptions))
-        finally:
-            if timer is not None:
-                timer.cancel()
-            if self._interrupted.is_set():
-                try:
-                    solver.clear_interrupt()
-                except NotImplementedError:
-                    pass
+        assume = list(assumptions)
+        limited = max_propagations is not None
+        if limited:
+            try:
+                solver.prop_budget(int(max_propagations))
+                status = solver.solve_limited(assumptions=assume)
+            except NotImplementedError:
+                limited = False       # this engine has no limited solving
+        if not limited:
+            status = solver.solve(assumptions=assume)
 
         stats = self._stats_delta(stats0)
         if status is True:
@@ -106,13 +82,6 @@ class PysatBackend(SolverBackend):
         if status is False:
             return BackendAnswer(result=SatResult.UNSAT, stats=stats)
         return BackendAnswer(result=SatResult.UNKNOWN, stats=stats)
-
-    def _interrupt(self) -> None:
-        self._interrupted.set()
-        try:
-            self._solver.interrupt()
-        except NotImplementedError:
-            pass
 
     def close(self) -> None:
         self._solver.delete()

@@ -13,11 +13,13 @@ The solver is *incremental*: ``solve`` may be called repeatedly on the same
 instance, clauses may be added between calls, and each call may pass a set
 of assumption literals that hold only for that call.  Learned clauses,
 variable activities, and saved phases persist across calls, which is what
-makes closely related queries cheap after the first one.  Resource budgets
-(``max_conflicts``, ``timeout``) are per call, and exhausting one leaves the
-solver reusable.  When a call returns UNSAT because an assumption literal
-was refuted, ``failed_assumption`` names it and the clause database stays
-consistent (``ok`` remains True).
+makes closely related queries cheap after the first one.  The one resource
+budget, ``max_propagations``, is per call and counts propagated literals, so
+whether it runs out depends only on the clause stream, never on the clock or
+the load of the machine; exhausting it leaves the solver reusable.  When a
+call returns UNSAT because an assumption literal was refuted,
+``failed_assumption`` names it and the clause database stays consistent
+(``ok`` remains True).
 
 Literals use the DIMACS convention: variable ``v`` (a positive integer) is
 represented by the literals ``v`` and ``-v``.  The solver is deliberately
@@ -30,7 +32,6 @@ core").
 from __future__ import annotations
 
 import enum
-import time
 from typing import Dict, List, Optional, Sequence
 
 
@@ -39,7 +40,7 @@ class SatResult(enum.Enum):
 
     SAT = "sat"
     UNSAT = "unsat"
-    UNKNOWN = "unknown"      # resource limit (timeout / conflict budget) reached
+    UNKNOWN = "unknown"      # propagation budget exhausted
 
 
 class _Clause:
@@ -339,22 +340,21 @@ class SatSolver:
     def solve(
         self,
         assumptions: Sequence[int] = (),
-        max_conflicts: Optional[int] = None,
-        timeout: Optional[float] = None,
+        max_propagations: Optional[int] = None,
     ) -> SatResult:
-        """Decide satisfiability under optional assumptions and budgets.
+        """Decide satisfiability under optional assumptions and a budget.
 
-        ``max_conflicts`` and ``timeout`` are budgets for *this call*; the
-        cumulative ``conflicts`` counter keeps growing across calls.
+        ``max_propagations`` is the budget of *this call* (None: unbounded);
+        the cumulative ``propagations`` counter keeps growing across calls.
         """
         self.failed_assumption = None
         if not self.ok:
             return SatResult.UNSAT
-        deadline = None if timeout is None else time.monotonic() + timeout
         restart_idx = 1
         conflict_budget = 100 * self._luby(restart_idx)
         conflicts_here = 0
-        conflicts_at_entry = self.conflicts
+        limit = None if max_propagations is None \
+            else self.propagations + max_propagations
         max_learned = max(1000, len(self.clauses) // 2)
 
         self._cancel_until(0)
@@ -386,9 +386,7 @@ class SatSolver:
                     max_learned = int(max_learned * 1.3)
                 continue
 
-            if (deadline is not None and time.monotonic() > deadline) or \
-                    (max_conflicts is not None and
-                     self.conflicts - conflicts_at_entry >= max_conflicts):
+            if limit is not None and self.propagations >= limit:
                 self._cancel_until(0)
                 return SatResult.UNKNOWN
             if conflicts_here >= conflict_budget:

@@ -1,8 +1,8 @@
 """Solver facade combining term simplification, bit-blasting, and CDCL SAT.
 
 The :class:`Solver` provides the small slice of an SMT solver API that STACK
-needs: assert boolean terms over bit vectors, check satisfiability with a
-per-query timeout, and extract models.
+needs: assert boolean terms over bit vectors, check satisfiability under a
+per-query propagation budget, and extract models.
 
 Two operating modes exist:
 
@@ -31,6 +31,11 @@ every query to Boolector.  The default, ``backend="builtin"``, is the
 in-process CDCL engine; ``"pysat"`` and ``"dimacs"`` receive the recorded
 clause stream instead.  Backends must agree on verdicts; models may differ
 (any satisfying assignment is acceptable).
+
+The budget is counted in SAT propagations, not seconds: the paper gives
+Boolector 5 s per query, and ``DEFAULT_MAX_PROPAGATIONS`` is about that much
+CDCL work, but a verdict under it never depends on the clock or on the load
+of the machine (docs/ENGINE.md, "Budgets and escalation").
 """
 
 from __future__ import annotations
@@ -49,13 +54,17 @@ from repro.solver.sat import SatResult, SatSolver
 from repro.solver.simplify import simplify
 from repro.solver.terms import Op, Term, TermManager, collect_variables
 
+#: The per-query budget, in SAT propagations, of every solver the checker
+#: and its verifiers build.
+DEFAULT_MAX_PROPAGATIONS = 1_000_000
+
 
 class CheckResult(enum.Enum):
     """Outcome of a satisfiability query."""
 
     SAT = "sat"
     UNSAT = "unsat"
-    UNKNOWN = "unknown"       # timeout or conflict budget exhausted
+    UNKNOWN = "unknown"       # propagation budget exhausted
 
 
 @dataclass
@@ -152,13 +161,10 @@ class Solver:
     manager:
         The :class:`TermManager` used to build asserted terms.  A solver may
         also be created without one, in which case it allocates its own.
-    timeout:
-        Default per-query timeout in seconds (``None`` disables it).  The
-        paper uses a 5 second Boolector timeout; the checker passes its own
+    max_propagations:
+        Per-query budget in SAT propagations (``None``: unbounded); a query
+        that exhausts it answers UNKNOWN.  The checker passes its own
         configured value through.
-    max_conflicts:
-        Optional conflict budget per query, an additional determinism-friendly
-        resource limit used by tests.
     incremental:
         Keep one SAT instance alive across ``check`` calls: learned clauses
         are retained, bit-blasted encodings are memoized per hash-consed
@@ -174,14 +180,12 @@ class Solver:
     def __init__(
         self,
         manager: Optional[TermManager] = None,
-        timeout: Optional[float] = 5.0,
-        max_conflicts: Optional[int] = 200_000,
+        max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
         incremental: bool = False,
         backend: str = "builtin",
     ) -> None:
         self.manager = manager if manager is not None else TermManager()
-        self.timeout = timeout
-        self.max_conflicts = max_conflicts
+        self.max_propagations = max_propagations
         self.incremental = incremental
         self.stats = SolverStats()
         self._frames: List[_Frame] = [_Frame()]
@@ -243,7 +247,6 @@ class Solver:
     def check(
         self,
         extra: Sequence[Term] = (),
-        timeout: Optional[float] = None,
         assumptions: Sequence[Term] = (),
     ) -> CheckResult:
         """Decide satisfiability of the asserted terms plus ``extra``.
@@ -253,7 +256,6 @@ class Solver:
         assumption literals over the persistent clause database.
         """
         start = time.monotonic()
-        effective_timeout = self.timeout if timeout is None else timeout
         mgr = self.manager
         deltas = list(extra) + list(assumptions)
 
@@ -288,11 +290,9 @@ class Solver:
                 self.stats.oracle_unsat += 1
                 result = CheckResult.UNSAT
         elif self.incremental:
-            result = self._check_incremental(terms, deltas,
-                                             effective_timeout, start)
+            result = self._check_incremental(terms, deltas)
         else:
-            result = self._check_scratch(conjunction, terms,
-                                         effective_timeout, start)
+            result = self._check_scratch(conjunction, terms)
         self.stats.record(result, time.monotonic() - start)
         return result
 
@@ -315,9 +315,8 @@ class Solver:
 
     # -- scratch mode ------------------------------------------------------------
 
-    def _check_scratch(self, conjunction: Term, terms: Sequence[Term],
-                       effective_timeout: Optional[float],
-                       start: float) -> CheckResult:
+    def _check_scratch(self, conjunction: Term,
+                       terms: Sequence[Term]) -> CheckResult:
         sat = SatSolver()
         cnf, backend = self._new_engines(sat)
         blaster = BitBlaster(cnf)
@@ -325,9 +324,7 @@ class Solver:
             blaster.assert_term(conjunction)
             backend.ensure_vars(sat.num_vars)
             backend.add_clauses(cnf.clauses)
-            answer = backend.solve(
-                max_conflicts=self.max_conflicts,
-                timeout=_remaining(effective_timeout, start))
+            answer = backend.solve(max_propagations=self.max_propagations)
         finally:
             backend.close()
         self._account_backend_work(answer, cnf, blaster, 0, 0)
@@ -361,9 +358,7 @@ class Solver:
             frame.encoded = len(frame.terms)
 
     def _check_incremental(self, terms: Sequence[Term],
-                           deltas: Sequence[Term],
-                           effective_timeout: Optional[float],
-                           start: float) -> CheckResult:
+                           deltas: Sequence[Term]) -> CheckResult:
         self._ensure_engines()
         sat, cnf, blaster = self._sat, self._cnf, self._blaster
         clauses0 = cnf.num_clauses
@@ -381,8 +376,7 @@ class Solver:
         backend.ensure_vars(sat.num_vars)
         backend.add_clauses(cnf.clauses[self._fed:])
         self._fed = len(cnf.clauses)
-        answer = backend.solve(assume, max_conflicts=self.max_conflicts,
-                               timeout=_remaining(effective_timeout, start))
+        answer = backend.solve(assume, max_propagations=self.max_propagations)
         self._account_backend_work(answer, cnf, blaster, clauses0, hits0)
         return self._apply_backend_answer(answer, blaster, terms)
 
@@ -451,17 +445,9 @@ class Solver:
         return Model(values)
 
 
-def _remaining(timeout: Optional[float], start: float) -> Optional[float]:
-    """What is left of a per-query ``timeout`` that started at ``start``."""
-    if timeout is None:
-        return None
-    return max(0.0, timeout - (time.monotonic() - start))
-
-
-def is_unsat(manager: TermManager, *terms: Term,
-             timeout: Optional[float] = 5.0) -> bool:
+def is_unsat(manager: TermManager, *terms: Term) -> bool:
     """Convenience helper: True iff the conjunction of ``terms`` is UNSAT."""
-    solver = Solver(manager, timeout=timeout)
+    solver = Solver(manager)
     for term in terms:
         solver.add(term)
     return solver.check() is CheckResult.UNSAT

@@ -4,7 +4,10 @@ This is ``repro.solver.sat`` as it stood before its hot loops were
 rewritten, kept verbatim below this paragraph.  ``test_sat_identity.py``
 drives it side by side with the production solver and requires the same
 answers, models, failed assumptions and work counters after every call.
-Do not optimise it: its value is that it is the plain, obvious loop.
+Do not optimise it: its value is that it is the plain, obvious loop.  One
+change was made since: the per-call budget counts propagations
+(``max_propagations``) instead of conflicts, checked at the same point of
+the loop, as in the production solver.
 
 The original module docstring follows.
 
@@ -350,13 +353,13 @@ class SatSolver:
     def solve(
         self,
         assumptions: Sequence[int] = (),
-        max_conflicts: Optional[int] = None,
+        max_propagations: Optional[int] = None,
         timeout: Optional[float] = None,
         stop: Optional["threading.Event"] = None,
     ) -> SatResult:
         """Decide satisfiability under optional assumptions and budgets.
 
-        ``max_conflicts`` and ``timeout`` are budgets for *this call*; the
+        ``max_propagations`` and ``timeout`` are budgets for *this call*; the
         cumulative ``conflicts`` counter keeps growing across calls.
         ``stop`` is an optional :class:`threading.Event`: setting it from
         another thread makes the loop return UNKNOWN at the next decision
@@ -370,7 +373,7 @@ class SatSolver:
         restart_idx = 1
         conflict_budget = 100 * self._luby(restart_idx)
         conflicts_here = 0
-        conflicts_at_entry = self.conflicts
+        propagations_at_entry = self.propagations
         max_learned = max(1000, len(self.clauses) // 2)
 
         self._cancel_until(0)
@@ -408,8 +411,8 @@ class SatSolver:
             if stop is not None and stop.is_set():
                 self._cancel_until(0)
                 return SatResult.UNKNOWN
-            if max_conflicts is not None and \
-                    self.conflicts - conflicts_at_entry >= max_conflicts:
+            if max_propagations is not None and self.propagations \
+                    - propagations_at_entry >= max_propagations:
                 self._cancel_until(0)
                 return SatResult.UNKNOWN
             if conflicts_here >= conflict_budget:

@@ -29,7 +29,8 @@ from repro.core.queries import QueryContext
 from repro.core.report import report_signature
 from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS
 from repro.solver import CheckResult, Solver
-from repro.solver.backends import SAT_BINARY_ENV, available_backends
+from repro.solver.backends import available_backends
+from repro.solver.backends.dimacs import SAT_BINARY_ENV
 
 SELFSOLVE = f"{sys.executable} -m repro.solver.backends.selfsolve"
 
@@ -61,9 +62,9 @@ def test_checker_verdicts_identical_across_backends(label, overrides):
     for snippet in CORPUS:
         source = snippet.render("diff")
         baseline = check_source(source, config=CheckerConfig(
-            solver_timeout=60.0, validate_witnesses=True))
+            validate_witnesses=True))
         routed = check_source(source, config=CheckerConfig(
-            solver_timeout=60.0, validate_witnesses=True, **overrides))
+            validate_witnesses=True, **overrides))
         assert report_signature(baseline) == report_signature(routed), \
             (label, snippet.name)
         assert baseline.queries == routed.queries, (label, snippet.name)
@@ -90,14 +91,14 @@ def _capture_queries(source, max_queries=40):
 
     QueryContext.is_unsat = spy
     try:
-        check_source(source, config=CheckerConfig(solver_timeout=60.0))
+        check_source(source)
     finally:
         QueryContext.is_unsat = original
     return captured
 
 
 def _replay(manager, goal, **solver_kwargs):
-    solver = Solver(manager, timeout=60.0, **solver_kwargs)
+    solver = Solver(manager, **solver_kwargs)
     for term in goal:
         solver.add(term)
     result = solver.check()
@@ -138,7 +139,7 @@ def test_assumption_failure_sets_identical_across_backends():
 
     for name in backends:
         mgr = TermManager()
-        solver = Solver(mgr, timeout=60.0, incremental=True, backend=name)
+        solver = Solver(mgr, incremental=True, backend=name)
         x = mgr.bv_var("x", 8)
         solver.add(mgr.bvult(x, mgr.bv_const(3, 8)))
         good = mgr.bvult(x, mgr.bv_const(2, 8))
@@ -150,3 +151,38 @@ def test_assumption_failure_sets_identical_across_backends():
         # A satisfiable per-call term cannot rescue inconsistent frames.
         assert solver.check(assumptions=[good]) is CheckResult.UNSAT, name
         solver.pop()
+
+
+_PYSAT = pytest.mark.skipif("pysat" not in available_backends(),
+                            reason="python-sat is not installed")
+
+
+@pytest.mark.parametrize("name", ["builtin", "dimacs",
+                                  pytest.param("pysat", marks=_PYSAT)])
+def test_budget_exhaustion_is_sound_and_reusable(name):
+    """A starved call answers UNKNOWN or the true verdict, never a wrong one.
+
+    The builtin CDCL must run out of a 1-propagation budget.  A backend
+    that cannot honor the budget (dimacs, a pysat engine without limited
+    solving) runs unbounded.  Either way the solver stays usable.
+    """
+    from repro.solver import TermManager
+
+    mgr = TermManager()
+    solver = Solver(mgr, max_propagations=1, incremental=True, backend=name)
+    a, b = mgr.bv_var("a", 12), mgr.bv_var("b", 12)
+    # 15,485,863 is prime: no two factors above 1 fit in 12 bits.
+    product = mgr.bvmul(mgr.zext(a, 12), mgr.zext(b, 12))
+    solver.push()
+    solver.add(mgr.eq(product, mgr.bv_const(15_485_863, 24)))
+    solver.add(mgr.bvugt(a, mgr.bv_const(1, 12)))
+    solver.add(mgr.bvugt(b, mgr.bv_const(1, 12)))
+    starved = solver.check()
+    if name == "builtin":
+        assert starved is CheckResult.UNKNOWN
+    else:
+        assert starved in (CheckResult.UNKNOWN, CheckResult.UNSAT), name
+    solver.max_propagations = None
+    assert solver.check() is CheckResult.UNSAT, name
+    solver.pop()
+    assert solver.check() is CheckResult.SAT, name

@@ -95,18 +95,18 @@ def test_uncompilable_source_exits_2(tmp_path, capsys):
 
 def test_show_config_prints_checker_config(tmp_path, capsys):
     main([write(tmp_path, "stable.c", STABLE), "--show-config",
-          "--no-incremental", "--timeout", "2.5"])
+          "--no-incremental", "--max-propagations", "2500"])
     out = capsys.readouterr().out
     assert "CheckerConfig:" in out
     assert "incremental = False" in out
-    assert "solver_timeout = 2.5" in out
+    assert "max_propagations = 2500" in out
 
 
 def test_parser_flags_exist():
     parser = build_parser()
     args = parser.parse_args(["file.c", "--json", "--validate",
-                              "--max-conflicts", "100"])
-    assert args.json and args.validate and args.max_conflicts == 100
+                              "--max-propagations", "100"])
+    assert args.json and args.validate and args.max_propagations == 100
     args = parser.parse_args(["file.c", "--repair", "--patch-out", "p.diff",
                               "--seed", "3", "--diff"])
     assert args.repair and args.patch_out == "p.diff"
@@ -410,6 +410,29 @@ def test_sigterm_interrupts_like_ctrl_c(tmp_path):
     assert records[-1]["type"] == "run"
     assert records[-1]["interrupted"] is True
     assert 0 < records[-1]["units"] < 80
+
+
+def test_default_check_loads_no_external_backend(tmp_path):
+    """The dimacs and pysat backends are imported only when named."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "repro", "check",
+         write(tmp_path, "stable.c", STABLE)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in run.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "repro.solver.backends.builtin" in imported
+    assert "repro.solver.backends.dimacs" not in imported
+    assert "repro.solver.backends.pysat_backend" not in imported
 
 
 def test_run_summary_records_carry_version_and_config(tmp_path, capsys):

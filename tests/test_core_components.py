@@ -83,7 +83,7 @@ class TestEncoderReachability:
 
     def test_contradictory_nested_block_detected_by_elimination(self):
         encoder = encoder_for(self.SOURCE)
-        engine = QueryEngine(encoder, timeout=10.0)
+        engine = QueryEngine(encoder)
         findings = run_elimination(encoder, engine)
         trivially_dead = [f for f in findings if f.trivially_dead]
         # x > 10 && x < 5 is unsatisfiable even without the UB assumption.
@@ -164,7 +164,7 @@ class TestEncoderUBConditions:
 class TestQueriesAndMinimalSets:
     def test_query_engine_counts(self):
         encoder = encoder_for("int f(int x) { return x; }")
-        engine = QueryEngine(encoder, timeout=10.0)
+        engine = QueryEngine(encoder)
         manager = encoder.manager
         assert engine.is_unsat([manager.false()]) is True
         assert engine.is_unsat([manager.true()]) is False
@@ -180,7 +180,7 @@ class TestQueriesAndMinimalSets:
                 return v + s;
             }
         """)
-        engine = QueryEngine(encoder, timeout=10.0)
+        engine = QueryEngine(encoder)
         check = next(i for i in encoder.function.instructions()
                      if isinstance(i, ICmp))
         conditions = encoder.dominating_ub_conditions(check)
@@ -198,7 +198,7 @@ class TestQueriesAndMinimalSets:
                 return 0;
             }
         """)
-        engine = QueryEngine(encoder, timeout=10.0)
+        engine = QueryEngine(encoder)
         findings = run_simplification(encoder, engine,
                                       oracles=[BooleanOracle(), AlgebraOracle()])
         reported = [f for f in findings if not f.trivially_simplified]

@@ -3,7 +3,7 @@
 Covers the acceptance surface of the engine PR: content-addressed cache
 hit/miss and budget semantics, disk round-trip of the cache, parallel vs.
 sequential result equivalence over the built-in snippet corpus, warm-cache
-reruns issuing strictly fewer solver queries, timeout escalation, the JSONL
+reruns issuing strictly fewer solver queries, budget escalation, the JSONL
 result sink, and the CheckerConfig.describe() helper.
 """
 
@@ -162,7 +162,7 @@ def test_alpha_renamed_functions_share_cache_entries():
 def test_cache_hit_miss_counters():
     cache = SolverQueryCache()
     assert cache.lookup("k1") is None
-    cache.store("k1", VERDICT_UNSAT, timeout=5.0, max_conflicts=100)
+    cache.store("k1", VERDICT_UNSAT, max_propagations=100)
     assert cache.lookup("k1") == VERDICT_UNSAT
     assert cache.hits == 1 and cache.misses == 1
     assert len(cache) == 1
@@ -170,39 +170,39 @@ def test_cache_hit_miss_counters():
 
 def test_cache_unknown_is_budget_qualified():
     cache = SolverQueryCache()
-    cache.store("k", VERDICT_UNKNOWN, timeout=1.0, max_conflicts=100)
-    # A larger requested budget must re-solve rather than replay the timeout.
-    assert cache.lookup("k", timeout=5.0, max_conflicts=100) is None
-    assert cache.lookup("k", timeout=1.0, max_conflicts=1000) is None
+    cache.store("k", VERDICT_UNKNOWN, max_propagations=100)
+    # A larger requested budget must re-solve rather than replay the unknown.
+    assert cache.lookup("k", max_propagations=1000) is None
+    assert cache.lookup("k", max_propagations=None) is None
     # An equal-or-smaller budget can reuse it.
-    assert cache.lookup("k", timeout=1.0, max_conflicts=100) == VERDICT_UNKNOWN
-    assert cache.lookup("k", timeout=0.5, max_conflicts=50) == VERDICT_UNKNOWN
+    assert cache.lookup("k", max_propagations=100) == VERDICT_UNKNOWN
+    assert cache.lookup("k", max_propagations=50) == VERDICT_UNKNOWN
     # Definitive verdicts ignore the budget entirely.
-    cache.store("k2", VERDICT_SAT, timeout=0.001, max_conflicts=1)
-    assert cache.lookup("k2", timeout=60.0, max_conflicts=None) == VERDICT_SAT
+    cache.store("k2", VERDICT_SAT, max_propagations=1)
+    assert cache.lookup("k2", max_propagations=None) == VERDICT_SAT
 
 
 def test_cache_never_downgrades_definitive_verdicts():
     cache = SolverQueryCache()
-    cache.store("k", VERDICT_UNSAT, timeout=5.0)
-    cache.store("k", VERDICT_UNKNOWN, timeout=60.0)
+    cache.store("k", VERDICT_UNSAT, max_propagations=5)
+    cache.store("k", VERDICT_UNKNOWN, max_propagations=60)
     assert cache.lookup("k") == VERDICT_UNSAT
 
 
 def test_cache_store_keeps_the_larger_budget_unknown():
     # Regression: store() used to replace any unknown, so a smaller-budget
-    # timeout erased the larger one that absorb() and flush() would keep.
+    # unknown erased the larger one that absorb() and flush() would keep.
     cache = SolverQueryCache()
-    cache.store("k", VERDICT_UNKNOWN, timeout=10.0)
-    cache.store("k", VERDICT_UNKNOWN, timeout=1.0)
-    assert cache.lookup("k", timeout=5.0) == VERDICT_UNKNOWN
+    cache.store("k", VERDICT_UNKNOWN, max_propagations=10)
+    cache.store("k", VERDICT_UNKNOWN, max_propagations=1)
+    assert cache.lookup("k", max_propagations=5) == VERDICT_UNKNOWN
     assert cache.drain_new_entries() == [
-        {"key": "k", "verdict": VERDICT_UNKNOWN, "timeout": 10.0,
-         "max_conflicts": None, "elapsed": 0.0}]
-    cache.store("k", VERDICT_UNKNOWN, timeout=20.0)   # a covering budget
-    assert cache.lookup("k", timeout=15.0) == VERDICT_UNKNOWN
-    cache.store("k", VERDICT_SAT, timeout=0.1)        # definitive wins
-    assert cache.lookup("k", timeout=60.0) == VERDICT_SAT
+        {"key": "k", "verdict": VERDICT_UNKNOWN, "max_propagations": 10,
+         "elapsed": 0.0}]
+    cache.store("k", VERDICT_UNKNOWN, max_propagations=20)   # covering
+    assert cache.lookup("k", max_propagations=15) == VERDICT_UNKNOWN
+    cache.store("k", VERDICT_SAT, max_propagations=1)        # definitive wins
+    assert cache.lookup("k", max_propagations=60) == VERDICT_SAT
 
 
 def test_cache_lru_eviction():
@@ -219,8 +219,8 @@ def test_cache_lru_eviction():
 def test_cache_disk_round_trip(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cache = SolverQueryCache(path=path)
-    cache.store("k1", VERDICT_UNSAT, timeout=5.0, max_conflicts=100, elapsed=0.25)
-    cache.store("k2", VERDICT_UNKNOWN, timeout=1.0, max_conflicts=10)
+    cache.store("k1", VERDICT_UNSAT, max_propagations=100, elapsed=0.25)
+    cache.store("k2", VERDICT_UNKNOWN, max_propagations=10)
     assert cache.flush() == 2
     assert cache.flush() == 0                   # nothing new since last flush
 
@@ -230,7 +230,7 @@ def test_cache_disk_round_trip(tmp_path):
     reloaded = SolverQueryCache(path=path)
     assert len(reloaded) == 2
     assert reloaded.lookup("k1") == VERDICT_UNSAT
-    assert reloaded.lookup("k2", timeout=1.0, max_conflicts=10) == VERDICT_UNKNOWN
+    assert reloaded.lookup("k2", max_propagations=10) == VERDICT_UNKNOWN
     # Entries loaded from disk are not "new" and must not be re-flushed.
     assert reloaded.flush() == 0
 
@@ -238,7 +238,7 @@ def test_cache_disk_round_trip(tmp_path):
 def test_cache_load_tolerates_torn_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
     good = json.dumps({"key": "k", "verdict": "unsat",
-                       "timeout": 5.0, "max_conflicts": 10, "elapsed": 0.0})
+                       "max_propagations": 10, "elapsed": 0.0})
     junk = ['{"key": "torn", "verd', "", '["key"]', '"keyring"',
             json.dumps({"key": "odd", "verdict": "maybe"})]
     path.write_text("\n".join([good] + junk) + "\n")
@@ -251,6 +251,33 @@ def test_cache_load_tolerates_torn_lines(tmp_path):
     reloaded = SolverQueryCache(path=str(path))
     assert len(reloaded) == 2
     assert reloaded.lookup("k") == VERDICT_UNSAT
+
+
+def test_cache_load_skips_unknowns_of_older_budgets(tmp_path):
+    # Files written when the budget was a deadline or a conflict count carry
+    # no max_propagations.  Their unknowns say nothing about the propagation
+    # budget (read as unbounded, they would be replayed forever); their sat
+    # and unsat entries hold under any budget.
+    path = tmp_path / "cache.jsonl"
+    old = [{"key": "u", "verdict": "unknown", "timeout": 5.0,
+            "max_conflicts": 50_000, "elapsed": 5.0},
+           {"key": "s", "verdict": "sat", "timeout": 5.0,
+            "max_conflicts": 50_000, "elapsed": 0.1},
+           {"key": "n", "verdict": "unsat", "timeout": None,
+            "max_conflicts": 10, "elapsed": 0.0}]
+    path.write_text("".join(json.dumps(entry) + "\n" for entry in old))
+    cache = SolverQueryCache(path=str(path))
+    assert len(cache) == 2
+    assert cache.lookup("u", max_propagations=1) is None
+    assert cache.lookup("s") == VERDICT_SAT
+    assert cache.lookup("n") == VERDICT_UNSAT
+    # A flush re-reads the file under the same rule.
+    cache.store("u", VERDICT_UNKNOWN, max_propagations=5)
+    assert cache.flush() == 1
+    reloaded = SolverQueryCache(path=str(path))
+    assert len(reloaded) == 3
+    assert reloaded.lookup("u", max_propagations=5) == VERDICT_UNKNOWN
+    assert reloaded.lookup("u", max_propagations=6) is None
 
 
 def test_cache_flush_merges_other_writers_entries(tmp_path):
@@ -271,10 +298,10 @@ def test_cache_flush_merges_other_writers_entries(tmp_path):
 def test_cache_flush_never_downgrades_on_disk(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     first = SolverQueryCache(path=path)
-    first.store("k", VERDICT_UNSAT, timeout=5.0)
+    first.store("k", VERDICT_UNSAT, max_propagations=5)
     assert first.flush() == 1
     late = SolverQueryCache()
-    late.store("k", VERDICT_UNKNOWN, timeout=60.0)
+    late.store("k", VERDICT_UNKNOWN, max_propagations=60)
     assert late.flush(path) == 0                # unknown never wins on disk
     assert SolverQueryCache(path=path).lookup("k") == VERDICT_UNSAT
 
@@ -391,6 +418,40 @@ def test_parallel_unit_records_stream_in_submission_order(tmp_path):
     assert unit_lines(2) == sequential
 
 
+@pytest.mark.parametrize("checker", [
+    CheckerConfig(),
+    CheckerConfig(validate_witnesses=True, repair=True),
+], ids=["plain", "witnesses-repair"])
+def test_verdicts_do_not_depend_on_the_clock(tmp_path, monkeypatch, checker):
+    """A clock that jumps an hour on every read changes no record.
+
+    The per-query budget counts propagations, so no query runs out of it
+    because the machine is slow or loaded.
+    """
+    import time
+
+    from repro.engine.sink import verdict_view
+
+    def records(name):
+        path = tmp_path / f"{name}.jsonl"
+        result = CheckEngine(EngineConfig(
+            workers=0, checker=checker, cache_enabled=False,
+            results_path=str(path))).check_corpus(corpus_units())
+        assert result.stats.timeouts == 0
+        return [json.dumps(verdict_view(json.loads(line)))
+                for line in path.read_text(encoding="utf-8").splitlines()]
+
+    steady = records("steady")
+    now = [time.monotonic()]
+
+    def jumping():
+        now[0] += 3600.0
+        return now[0]
+
+    monkeypatch.setattr(time, "monotonic", jumping)
+    assert records("jumping") == steady
+
+
 def test_parallel_run_survives_worker_death(monkeypatch):
     from repro.engine.pool import CRASH_META_KEY, TEST_HOOKS_ENV
 
@@ -428,10 +489,10 @@ def test_check_modules_parallel_equivalence():
         [len(r.bugs) for r in sequential]
 
 
-# -- timeout escalation ---------------------------------------------------------------
+# -- budget escalation ----------------------------------------------------------------
 
-#: A budget of one CDCL conflict starves every non-trivial query.
-STARVED = CheckerConfig(max_conflicts=1)
+#: A budget of one propagation starves every query that reaches CDCL.
+STARVED = CheckerConfig(max_propagations=1)
 
 
 def test_starved_budget_times_out_without_escalation():
@@ -457,15 +518,12 @@ def test_escalation_recovers_starved_functions():
 
 
 def test_escalate_config_scales_budget():
-    config = CheckerConfig(solver_timeout=2.0, max_conflicts=100)
+    config = CheckerConfig(max_propagations=100)
     scaled = escalate_config(config, 4.0)
-    assert scaled.solver_timeout == 8.0
-    assert scaled.max_conflicts == 400
-    assert config.solver_timeout == 2.0         # original untouched
-    unlimited = escalate_config(CheckerConfig(solver_timeout=None,
-                                              max_conflicts=None), 4.0)
-    assert unlimited.solver_timeout is None
-    assert unlimited.max_conflicts is None
+    assert scaled.max_propagations == 400
+    assert config.max_propagations == 100       # original untouched
+    unlimited = escalate_config(CheckerConfig(max_propagations=None), 4.0)
+    assert unlimited.max_propagations is None
 
 
 # -- work units and error handling ----------------------------------------------------
@@ -527,8 +585,8 @@ def test_results_jsonl_schema(cold_run):
 
 
 def test_checker_config_describe():
-    text = CheckerConfig(solver_timeout=2.5, inline=False).describe()
-    assert "solver_timeout = 2.5" in text
+    text = CheckerConfig(max_propagations=2500, inline=False).describe()
+    assert "max_propagations = 2500" in text
     assert "inline = False" in text
     # One line per field, and nothing else.
     lines = text.splitlines()

@@ -105,7 +105,7 @@ def test_simplify_preserves_solver_verdict(seeded):
     rng, manager, names, terms = seeded
     for term in rng.sample(terms, SOLVER_CHECKS_PER_SEED):
         simplified = simplify(manager, term)
-        solver = Solver(manager, timeout=30.0)
+        solver = Solver(manager)
         solver.add(manager.distinct(simplified, term))
         assert solver.check() is CheckResult.UNSAT
 
@@ -115,7 +115,7 @@ def test_solver_models_match_interpreter(seeded):
     for term in rng.sample(terms, SOLVER_CHECKS_PER_SEED):
         assignment = _random_assignment(rng, names)
         expected = manager.evaluate(term, assignment)
-        solver = Solver(manager, timeout=30.0)
+        solver = Solver(manager)
         for name, value in assignment.items():
             solver.add(manager.eq(manager.bv_var(name, WIDTH),
                                   manager.bv_const(value, WIDTH)))

@@ -108,12 +108,12 @@ FUZZ_RUN_PATHS = (
 #: Setting names of the run record's ``config.checker`` and
 #: ``config.engine``, and of the ``fuzz-run`` record's ``config``.
 CHECKER_SETTINGS = ["backend", "classify", "cluster", "incremental", "inline",
-                    "max_conflicts", "minimize_ub_sets", "repair",
-                    "slow_query_ms", "solver_timeout", "trace",
-                    "validate_witnesses", "witness_seed"]
+                    "max_propagations", "minimize_ub_sets", "repair",
+                    "slow_query_ms", "trace", "validate_witnesses",
+                    "witness_seed"]
 ENGINE_SETTINGS = ["cache_enabled", "escalation_factors", "workers"]
-FUZZ_SETTINGS = ["budget", "differential", "max_conflicts", "reduce",
-                 "repair", "scenarios", "seed", "validate_witnesses"]
+FUZZ_SETTINGS = ["budget", "differential", "reduce", "repair", "scenarios",
+                 "seed", "validate_witnesses"]
 
 RUN_METRICS = sorted(
     f"run.{name}" for name in

@@ -231,15 +231,14 @@ class TestVerifierGates:
         for inst in broken.instructions():
             if isinstance(inst, BinaryOp) and inst.kind is BinOpKind.ADD:
                 inst.operands[1] = Constant(inst.type, 101)
-        gate = prove_equivalence(function, broken, timeout=None,
-                                 max_conflicts=None)
+        gate = prove_equivalence(function, broken, max_propagations=None)
         assert not gate.passed
         assert "differs" in gate.reason
 
     def test_equivalence_accepts_the_identity_patch(self):
         function = self._function(SIGNED)
         gate = prove_equivalence(function, clone_function(function),
-                                 timeout=None, max_conflicts=None)
+                                 max_propagations=None)
         assert gate.passed
 
     def test_equivalence_ignores_ub_input_behaviour(self, signed_repair_report):

@@ -56,10 +56,11 @@ class Pair:
         assert _state(self.fast) == _state(self.ref)
         return added
 
-    def solve(self, assumptions=(), max_conflicts=None):
-        result = self.fast.solve(list(assumptions), max_conflicts=max_conflicts)
+    def solve(self, assumptions=(), max_propagations=None):
+        result = self.fast.solve(list(assumptions),
+                                 max_propagations=max_propagations)
         expected = self.ref.solve(list(assumptions),
-                                  max_conflicts=max_conflicts)
+                                  max_propagations=max_propagations)
         assert result.value == expected.value
         assert _state(self.fast) == _state(self.ref)
         return result
@@ -89,7 +90,7 @@ def test_random_incremental_sessions_match_the_reference(seed):
             assumptions = _random_literals(rng, variables, rng.randint(0, 5))
             if assumptions and rng.random() < 0.1:
                 assumptions.append(-assumptions[0])
-            budget = rng.choice((None, None, None, 0, 1, 5, 20))
+            budget = rng.choice((None, None, None, 0, 1, 5, 20, 100))
             outcomes.add(pair.outcome(pair.solve(assumptions, budget)))
             # Clauses (and now and then a fresh variable) between calls.
             for _ in range(rng.randint(0, 4)):
@@ -171,9 +172,9 @@ class _Recorder(SatSolver):
         self.ops.append(("clause", list(lits)))
         return super().add_clause(lits)
 
-    def solve(self, assumptions=(), max_conflicts=None, timeout=None):
-        self.ops.append(("solve", list(assumptions), max_conflicts))
-        return super().solve(assumptions, max_conflicts, timeout)
+    def solve(self, assumptions=(), max_propagations=None):
+        self.ops.append(("solve", list(assumptions), max_propagations))
+        return super().solve(assumptions, max_propagations)
 
 
 @pytest.mark.parametrize("name", ["fig10_postgres_division_overflow",

@@ -24,16 +24,15 @@ from repro.solver import CheckResult, Solver, SolverStats, TermManager
 from repro.solver.backends import (
     BACKENDS,
     BuiltinBackend,
-    DimacsBackend,
-    PysatBackend,
-    SAT_BINARY_ENV,
     available_backends,
     constant_answer,
     create_backend,
     evaluation_answer,
     preanswer,
 )
-from repro.solver.backends.dimacs import parse_solver_output
+from repro.solver.backends.dimacs import (SAT_BINARY_ENV, DimacsBackend,
+                                          parse_solver_output)
+from repro.solver.backends.pysat_backend import PysatBackend
 from repro.solver.backends.selfsolve import solve_dimacs_text
 from repro.solver.cnf import CnfBuilder, emit_dimacs, parse_dimacs
 from repro.solver.sat import SatResult, SatSolver
@@ -115,7 +114,7 @@ class TestOracle:
         assert evaluation_answer(mgr, conjunction) is None
 
     def test_preanswer_counts_in_solver_stats(self, mgr):
-        solver = Solver(mgr, timeout=20.0)
+        solver = Solver(mgr)
         x = mgr.bv_var("x", 8)
         solver.add(mgr.eq(x, mgr.bv_const(0, 8)))
         assert solver.check() is CheckResult.SAT
@@ -236,8 +235,7 @@ def _snippet_run(monkeypatch, **overrides):
 
     units = [(s.name, s.render("fed")) for s in SNIPPETS + STABLE_SNIPPETS]
     config = EngineConfig(workers=0, cache_enabled=False,
-                          checker=CheckerConfig(solver_timeout=60.0,
-                                                **overrides))
+                          checker=CheckerConfig(**overrides))
     with monkeypatch.context() as patch:
         patch.setattr(Solver, "__init__", spy)
         result = check_corpus(units, engine_config=config)
@@ -291,8 +289,7 @@ class TestSolverFacade:
                 super().add_clauses(clauses)
 
         monkeypatch.setitem(BACKENDS, "recording", Recording)
-        solver = Solver(mgr, timeout=20.0, incremental=True,
-                        backend="recording")
+        solver = Solver(mgr, incremental=True, backend="recording")
         x = _unstable_query(mgr, solver)
         assert solver.check() is CheckResult.SAT
         assert solver.model()["x"] in (15, 241)
@@ -309,8 +306,7 @@ class TestSolverFacade:
     @pytest.mark.parametrize("incremental", [False, True])
     def test_dimacs_backend_through_selfsolve(self, mgr, selfsolve_env,
                                               incremental):
-        solver = Solver(mgr, timeout=60.0, incremental=incremental,
-                        backend="dimacs")
+        solver = Solver(mgr, incremental=incremental, backend="dimacs")
         x = _unstable_query(mgr, solver)
         assert solver.check() is CheckResult.SAT
         assert solver.model()["x"] in (15, 241)
@@ -319,8 +315,7 @@ class TestSolverFacade:
         assert solver.stats.sat_calls == 2
 
     def test_backend_push_pop(self, mgr, selfsolve_env):
-        solver = Solver(mgr, timeout=60.0, incremental=True,
-                        backend="dimacs")
+        solver = Solver(mgr, incremental=True, backend="dimacs")
         x = mgr.bv_var("x", 8)
         solver.add(mgr.bvult(x, mgr.bv_const(100, 8)))
         solver.push()

@@ -14,8 +14,8 @@ def mgr():
     return TermManager()
 
 
-def solve(mgr, *terms, timeout=20.0):
-    solver = Solver(mgr, timeout=timeout)
+def solve(mgr, *terms):
+    solver = Solver(mgr)
     for t in terms:
         solver.add(t)
     return solver, solver.check()
@@ -76,7 +76,7 @@ class TestBasicQueries:
 
     def test_push_pop(self, mgr):
         x = mgr.bv_var("x", WIDTH)
-        solver = Solver(mgr, timeout=20.0)
+        solver = Solver(mgr)
         solver.add(mgr.bvult(x, mgr.bv_const(10, WIDTH)))
         solver.push()
         solver.add(mgr.bvugt(x, mgr.bv_const(20, WIDTH)))
@@ -86,7 +86,7 @@ class TestBasicQueries:
 
     def test_stats_accumulate(self, mgr):
         x = mgr.bv_var("x", WIDTH)
-        solver = Solver(mgr, timeout=20.0)
+        solver = Solver(mgr)
         solver.add(mgr.eq(x, mgr.bv_const(1, WIDTH)))
         solver.check()
         solver.check()
@@ -190,7 +190,7 @@ class TestPropertyBased:
     def test_solver_finds_specific_value(self, target):
         mgr = TermManager()
         x = mgr.bv_var("x", WIDTH)
-        solver = Solver(mgr, timeout=20.0)
+        solver = Solver(mgr)
         solver.add(mgr.eq(x, mgr.bv_const(target, WIDTH)))
         assert solver.check() is CheckResult.SAT
         assert solver.model()["x"] == target
@@ -201,7 +201,7 @@ class TestPropertyBased:
         # x < bound and x > bound is UNSAT for any bound.
         mgr = TermManager()
         x = mgr.bv_var("x", WIDTH)
-        solver = Solver(mgr, timeout=20.0)
+        solver = Solver(mgr)
         solver.add(mgr.bvult(x, mgr.bv_const(bound, WIDTH)))
         solver.add(mgr.bvugt(x, mgr.bv_const(bound, WIDTH)))
         assert solver.check() is CheckResult.UNSAT

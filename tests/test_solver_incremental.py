@@ -26,7 +26,6 @@ def mgr():
 
 
 def _incremental(mgr, **kwargs):
-    kwargs.setdefault("timeout", 20.0)
     return Solver(mgr, incremental=True, **kwargs)
 
 
@@ -161,7 +160,7 @@ def _hard_term(mgr):
 
 class TestBudgetExhaustion:
     def test_unknown_mid_run_keeps_solver_reusable(self, mgr):
-        solver = Solver(mgr, timeout=None, max_conflicts=1, incremental=True)
+        solver = Solver(mgr, max_propagations=1, incremental=True)
         x = mgr.bv_var("x", WIDTH)
         solver.add(mgr.bvult(x, mgr.bv_const(100, WIDTH)))
 
@@ -172,36 +171,37 @@ class TestBudgetExhaustion:
 
         # The starved query neither poisoned the clause database nor the
         # budget of later queries: an easy follow-up still gets answered.
-        solver.max_conflicts = 200_000
+        solver.max_propagations = None
         assert solver.check(
             assumptions=[mgr.eq(x, mgr.bv_const(7, WIDTH))]) is CheckResult.SAT
         assert solver.model()["x"] == 7
 
-    def test_conflict_budget_is_per_call(self, mgr):
-        # The cumulative conflict counter must not starve later calls: after
-        # a starved UNKNOWN, an easy query on the same solver still gets its
-        # own full budget.
-        solver = Solver(mgr, timeout=None, max_conflicts=200, incremental=True)
+    def test_propagation_budget_is_per_call(self, mgr):
+        # The cumulative propagation counter must not starve later calls:
+        # after a starved UNKNOWN, an easy query on the same solver still
+        # gets its own full budget.
+        solver = Solver(mgr, max_propagations=20_000, incremental=True)
         solver.push()
         solver.add(_hard_term(mgr))
         assert solver.check() is CheckResult.UNKNOWN
-        assert solver.stats.conflicts >= 200
+        assert solver.stats.propagations >= 20_000
         solver.pop()
         x = mgr.bv_var("x", WIDTH)
         assert solver.check(
             assumptions=[mgr.eq(x, mgr.bv_const(9, WIDTH))]) is CheckResult.SAT
 
-    def test_timeout_zero_returns_unknown_then_recovers(self, mgr):
-        solver = Solver(mgr, timeout=0.0, incremental=True)
+    def test_zero_budget_returns_unknown_then_recovers(self, mgr):
+        solver = Solver(mgr, max_propagations=0, incremental=True)
         solver.push()
         solver.add(_hard_term(mgr))
-        assert solver.check() is CheckResult.UNKNOWN   # deadline already passed
+        assert solver.check() is CheckResult.UNKNOWN   # no budget at all
         # The interrupted run left the solver reusable: re-asking under a
         # real budget decides the same query (the instance is UNSAT) ...
-        assert solver.check(timeout=60.0) is CheckResult.UNSAT
+        solver.max_propagations = None
+        assert solver.check() is CheckResult.UNSAT
         solver.pop()
         # ... and popping the frame restores satisfiability.
-        assert solver.check(timeout=60.0) is CheckResult.SAT
+        assert solver.check() is CheckResult.SAT
 
 
 # -- incremental encodings are shared -----------------------------------------------
@@ -239,7 +239,7 @@ def test_incremental_matches_scratch_on_snippet_corpus():
         source = snippet.render("determinism")
         reports = {}
         for incremental in (True, False):
-            config = CheckerConfig(solver_timeout=60.0, incremental=incremental)
+            config = CheckerConfig(incremental=incremental)
             reports[incremental] = check_source(source, config=config)
         incr, scratch = reports[True], reports[False]
         assert report_signature(incr) == report_signature(scratch), snippet.name
@@ -248,8 +248,7 @@ def test_incremental_matches_scratch_on_snippet_corpus():
 
 
 def test_incremental_stats_reach_function_report():
-    config = CheckerConfig(solver_timeout=60.0)
-    report = check_source(SNIPPETS[0].render("stats"), config=config)
+    report = check_source(SNIPPETS[0].render("stats"))
     fn = report.functions[0]
     assert fn.contexts > 0
     assert fn.queries > 0
@@ -268,20 +267,20 @@ class TestBudgetExhaustionMidRace:
     """A backend that runs out of budget stays reusable (docs/SOLVER.md)."""
 
     def test_starved_builtin_race_stays_reusable(self, mgr):
-        # Through the facade: a conflict budget of 1 starves the builtin
+        # Through the facade: a propagation budget of 1 starves the builtin
         # backend (UNKNOWN), then a raised budget decides the same
         # persistent instance.
-        solver = Solver(mgr, timeout=None, max_conflicts=1, incremental=True,
+        solver = Solver(mgr, max_propagations=1, incremental=True,
                         backend="builtin")
         solver.push()
         solver.add(_hard_term(mgr))
         assert solver.check() is CheckResult.UNKNOWN
         assert solver.stats.unknown == 1
-        solver.max_conflicts = 200_000
-        assert solver.check(timeout=60.0) is CheckResult.UNSAT
+        solver.max_propagations = None
+        assert solver.check() is CheckResult.UNSAT
         assert solver.stats.sat_calls == 2          # both reached the backend
         solver.pop()
-        assert solver.check(timeout=60.0) is CheckResult.SAT
+        assert solver.check() is CheckResult.SAT
 
 
 class TestFrameDiscipline:
@@ -303,7 +302,7 @@ class TestFrameDiscipline:
 
         module = compile_source("int f(int x) { return x + 1; }")
         encoder = FunctionEncoder(next(iter(module.defined_functions())))
-        engine = QueryEngine(encoder, timeout=20.0)
+        engine = QueryEngine(encoder)
         mgr = encoder.manager
         x = mgr.bv_var("v", WIDTH)
         outer = engine.context([mgr.bvult(x, mgr.bv_const(10, WIDTH))])

@@ -252,8 +252,8 @@ class TestBruteForceCrossCheck:
 
 
 class TestResourceLimits:
-    def test_conflict_budget_returns_unknown(self):
-        # A hard pigeonhole instance with a tiny conflict budget.
+    def test_propagation_budget_returns_unknown(self):
+        # A hard pigeonhole instance with a tiny propagation budget.
         s = SatSolver()
         n_pigeons, n_holes = 7, 6
         p = [[s.new_var() for _ in range(n_holes)] for _ in range(n_pigeons)]
@@ -263,8 +263,10 @@ class TestResourceLimits:
             for i1 in range(n_pigeons):
                 for i2 in range(i1 + 1, n_pigeons):
                     s.add_clause([-p[i1][j], -p[i2][j]])
-        result = s.solve(max_conflicts=5)
-        assert result in (SatResult.UNKNOWN, SatResult.UNSAT)
+        assert s.solve(max_propagations=50) is SatResult.UNKNOWN
+        assert s.propagations >= 50
+        # The budget is per call: an unbounded call decides the instance.
+        assert s.solve() is SatResult.UNSAT
 
     def test_statistics_are_tracked(self):
         s = SatSolver()

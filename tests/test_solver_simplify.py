@@ -91,7 +91,7 @@ class TestSameOperandRewrites:
         x = mgr.bv_var("x", 8)
         original = build_same_operand(mgr, op_name, x)
         simplified = simplify(mgr, original)
-        solver = Solver(mgr, timeout=None, max_conflicts=100_000)
+        solver = Solver(mgr)
         solver.add(mgr.distinct(original, simplified))
         assert solver.check() is CheckResult.UNSAT
 
@@ -150,7 +150,7 @@ class TestShiftAndNegationIdentities:
         x = mgr.bv_var("x", 8)
         original = mgr.bvneg(mgr.bvneg(x))
         simplified = simplify(mgr, original)
-        solver = Solver(mgr, timeout=None, max_conflicts=100_000)
+        solver = Solver(mgr)
         solver.add(mgr.distinct(original, simplified))
         assert solver.check() is CheckResult.UNSAT
 
@@ -159,12 +159,12 @@ class TestShiftAndNegationIdentities:
         zero16 = mgr.bv_const(0, 16)
 
         # UNSAT: (x << 0) != x can never hold.
-        unsat = Solver(mgr, timeout=None)
+        unsat = Solver(mgr)
         unsat.add(mgr.distinct(mgr.bvshl(x, zero16), x))
         assert unsat.check() is CheckResult.UNSAT
 
         # SAT: the rewrite must not touch a genuine shift.
-        sat = Solver(mgr, timeout=None)
+        sat = Solver(mgr)
         sat.add(mgr.distinct(mgr.bvshl(x, y), x))
         assert sat.check() is CheckResult.SAT
 
@@ -222,7 +222,7 @@ class TestShiftChainFolds:
         x = mgr.bv_var("x", 8)
         original = builder(builder(x, mgr.bv_const(2, 8)), mgr.bv_const(3, 8))
         simplified = simplify(mgr, original)
-        solver = Solver(mgr, timeout=None, max_conflicts=100_000)
+        solver = Solver(mgr)
         solver.add(mgr.distinct(original, simplified))
         assert solver.check() is CheckResult.UNSAT
 
@@ -230,14 +230,14 @@ class TestShiftChainFolds:
         x = mgr.bv_var("x", 8)
 
         # UNSAT: ((x << 2) << 3) != (x << 5) can never hold.
-        unsat = Solver(mgr, timeout=None)
+        unsat = Solver(mgr)
         unsat.add(mgr.distinct(
             mgr.bvshl(mgr.bvshl(x, mgr.bv_const(2, 8)), mgr.bv_const(3, 8)),
             mgr.bvshl(x, mgr.bv_const(5, 8))))
         assert unsat.check() is CheckResult.UNSAT
 
         # SAT: a fold must not erase a genuine single shift.
-        sat = Solver(mgr, timeout=None)
+        sat = Solver(mgr)
         sat.add(mgr.distinct(mgr.bvshl(x, mgr.bv_const(5, 8)), x))
         assert sat.check() is CheckResult.SAT
 
@@ -302,7 +302,7 @@ class TestExtractConcatFolds:
         hi, lo = mgr.bv_var("h", 8), mgr.bv_var("l", 8)
         original = mgr.extract(mgr.concat(hi, lo), 6, 1)
         simplified = simplify(mgr, original)
-        solver = Solver(mgr, timeout=None, max_conflicts=100_000)
+        solver = Solver(mgr)
         solver.add(mgr.distinct(original, simplified))
         assert solver.check() is CheckResult.UNSAT
 
@@ -310,12 +310,12 @@ class TestExtractConcatFolds:
         hi, lo = mgr.bv_var("h", 8), mgr.bv_var("l", 8)
 
         # UNSAT: extract(concat(h, l), 7, 0) != l can never hold.
-        unsat = Solver(mgr, timeout=None)
+        unsat = Solver(mgr)
         unsat.add(mgr.distinct(mgr.extract(mgr.concat(hi, lo), 7, 0), lo))
         assert unsat.check() is CheckResult.UNSAT
 
         # SAT: the high half is genuinely independent of the low half.
-        sat = Solver(mgr, timeout=None)
+        sat = Solver(mgr)
         sat.add(mgr.distinct(mgr.extract(mgr.concat(hi, lo), 15, 8), lo))
         assert sat.check() is CheckResult.SAT
 
@@ -326,12 +326,12 @@ class TestVerdictPreservation:
         zero = mgr.bv_const(0, 16)
 
         # UNSAT: (x ^ x) != 0 can never hold.
-        unsat = Solver(mgr, timeout=None)
+        unsat = Solver(mgr)
         unsat.add(mgr.distinct(mgr.bvxor(x, x), zero))
         assert unsat.check() is CheckResult.UNSAT
 
         # SAT: the rewrite must not over-simplify different operands.
-        sat = Solver(mgr, timeout=None)
+        sat = Solver(mgr)
         sat.add(mgr.distinct(mgr.bvxor(x, y), zero))
         assert sat.check() is CheckResult.SAT
         model = sat.model()
