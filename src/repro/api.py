@@ -17,8 +17,9 @@ share an assumption-based solver context, and learned clauses plus
 bit-blasted encodings persist per function (docs/SOLVER.md).  Pass
 ``CheckerConfig(incremental=False)`` to any helper here to solve every
 query from scratch instead; verdicts are identical in both modes, and the
-per-function reports carry the :class:`~repro.solver.solver.SolverStats`
-counters (contexts, CDCL calls, restarts, blasted clauses) either way.
+per-function reports carry the solver counters (contexts, CDCL calls,
+restarts, blasted clauses; ``repro.core.report.SOLVER_COUNTERS``) either
+way.
 
 For corpus-scale work the engine entry points fan translation units out over
 a worker pool with a shared solver-query cache layered above the

@@ -29,12 +29,9 @@ The pipeline has three stages (docs/CLUSTER.md):
 
 from repro.cluster.cluster import ClusterMember, FunctionCluster, cluster_functions
 from repro.cluster.fingerprint import FunctionFingerprint, fingerprint_function
-from repro.cluster.propagate import (
-    ClusterStats,
-    check_module_clustered,
-    propagate_clusters,
-)
+from repro.cluster.propagate import check_module_clustered, propagate_clusters
 from repro.cluster.synthetic import synthetic_cluster_corpus
+from repro.core.report import ClusterStats
 
 __all__ = [
     "ClusterMember",

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.cluster import ClusterMember, FunctionCluster, cluster_functions
 from repro.core.checker import CheckerConfig, StackChecker
 from repro.core.encode import FunctionEncoder
-from repro.core.report import BugReport, Diagnostic, FunctionReport
+from repro.core.report import BugReport, ClusterStats, Diagnostic, FunctionReport
 from repro.exec.clone import clone_function
 from repro.ir.function import Function, Module
 from repro.ir.printer import print_instruction
@@ -46,18 +45,6 @@ from repro.repair.verify import (
 )
 from repro.solver.solver import CheckResult, Solver
 from repro.solver.terms import Term, TermManager
-
-
-@dataclass
-class ClusterStats:
-    """Counters of one clustered run (nested under ``cluster`` in the JSONL)."""
-
-    functions: int = 0               # functions that entered clustering
-    clusters: int = 0                # distinct canonical forms
-    propagated: int = 0              # verdicts copied from a representative
-    confirmed: int = 0               # members that passed the solver gate
-    fallbacks: int = 0               # members re-checked in full instead
-    cluster_time: float = 0.0        # seconds fingerprinting + confirming
 
 
 def aligned_clone(member: ClusterMember, representative: ClusterMember) -> Function:
@@ -224,11 +211,11 @@ def propagate_clusters(
     """
     reports: Dict[Tuple[int, int], FunctionReport] = {}
     bookkeeping: Dict[Tuple[int, int], Tuple[int, bool]] = {}
-    stats = ClusterStats(clusters=len(clusters))
+    stats = ClusterStats(cluster_clusters=len(clusters))
     records: List[Dict[str, object]] = []
 
     for cluster_index, cluster in enumerate(clusters):
-        stats.functions += len(cluster.members)
+        stats.cluster_functions += len(cluster.members)
         representative = cluster.representative
         precomputed = (rep_results or {}).get(cluster_index)
         if precomputed is None:
@@ -251,19 +238,19 @@ def propagate_clusters(
                 confirmed = confirmer.confirm(member)
                 confirm_span.set_arg("confirmed", confirmed)
             if confirmed:
-                stats.confirmed += 1
+                stats.cluster_confirmed += 1
                 counter("cluster.confirmations")
                 report = _propagated_report(rep_report, representative,
                                             member,
                                             time.monotonic() - started)
             stats.cluster_time += time.monotonic() - started
             if report is not None:
-                stats.propagated += 1
+                stats.cluster_propagated += 1
                 propagated += 1
                 bookkeeping[member.key] = (1, False)
             else:
                 fallbacks += 1
-                stats.fallbacks += 1
+                stats.cluster_fallbacks += 1
                 report, attempts, escalated = check_function_escalating(
                     member.function, config, cache, escalation_factors)
                 bookkeeping[member.key] = (attempts, escalated)

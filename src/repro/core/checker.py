@@ -36,6 +36,7 @@ from repro.core.encode import FunctionEncoder
 from repro.core.mincond import minimal_ub_conditions
 from repro.core.queries import QueryEngine
 from repro.core.report import (
+    SOLVER_COUNTERS,
     Algorithm,
     BugReport,
     Diagnostic,
@@ -157,14 +158,14 @@ class StackChecker:
 
     def _check_function(self, function: Function) -> FunctionReport:
         started = time.monotonic()
+        result = FunctionReport(function=function.name)
         with span("stage2.encode", function=function.name):
             encoder = FunctionEncoder(function)
             engine = QueryEngine(encoder,
                                  max_propagations=self.config.max_propagations,
                                  cache=self.query_cache,
                                  incremental=self.config.incremental,
-                                 backend=self.config.backend)
-        result = FunctionReport(function=function.name)
+                                 backend=self.config.backend, stats=result)
 
         with span("stage3.elimination"):
             elimination_findings = run_elimination(encoder, engine)
@@ -218,46 +219,24 @@ class StackChecker:
         if self.config.validate_witnesses and witness_work:
             from repro.exec.witness import validate_diagnostics
 
-            witness_started = time.monotonic()
             with span("stage5.witness", diagnostics=len(witness_work)):
-                counts = validate_diagnostics(
-                    function, encoder, witness_work,
+                validate_diagnostics(
+                    function, encoder, witness_work, result,
                     max_propagations=self.config.max_propagations,
                     seed=self.config.witness_seed)
-            result.witnesses_confirmed = counts["confirmed"]
-            result.witnesses_unconfirmed = counts["unconfirmed"]
-            result.witnesses_inconclusive = counts["inconclusive"]
-            result.witness_time = time.monotonic() - witness_started
 
         if self.config.repair and repair_work:
             from repro.repair import repair_diagnostics
 
-            repair_started = time.monotonic()
             with span("stage6.repair", diagnostics=len(repair_work)):
-                counts = repair_diagnostics(function, encoder, repair_work,
-                                            self.config, cache=self.query_cache)
-            result.repairs_attempted = counts["attempted"]
-            result.repairs_succeeded = counts["repaired"]
-            result.repairs_rejected = counts["rejected"]
-            result.repairs_no_template = counts["no_template"]
-            result.repair_gate_equivalence_rejects = counts["gate_equivalence"]
-            result.repair_gate_recheck_rejects = counts["gate_recheck"]
-            result.repair_gate_replay_rejects = counts["gate_replay"]
-            result.repair_time = time.monotonic() - repair_started
+                repair_diagnostics(function, encoder, repair_work,
+                                   self.config, result, cache=self.query_cache)
 
         result.diagnostics = diagnostics
         result.suppressed_compiler_origin = suppressed
-        result.queries = engine.stats.queries
-        result.cache_hits = engine.stats.cache_hits
-        result.timeouts = engine.stats.timeouts
-        result.contexts = engine.stats.contexts
         solver_stats = engine.solver_stats
-        result.sat_calls = solver_stats.sat_calls
-        result.restarts = solver_stats.restarts
-        result.blasted_clauses = solver_stats.blasted_clauses
-        result.solver_time = solver_stats.total_time
-        result.oracle_sat = solver_stats.oracle_sat
-        result.oracle_unsat = solver_stats.oracle_unsat
+        for name in SOLVER_COUNTERS:
+            setattr(result, name, getattr(solver_stats, name))
         result.analysis_time = time.monotonic() - started
         return result
 

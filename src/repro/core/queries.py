@@ -3,8 +3,9 @@
 Each elimination/simplification decision is one satisfiability query.  The
 :class:`QueryEngine` issues them under a per-query propagation budget (it
 stands in for the paper's 5 s Boolector timeout but does not depend on the
-clock), and tracks the counters reported in Figure 16 (#queries, and as
-#query timeouts the queries that exhausted the budget).
+clock), and counts the Figure 16 numbers (#queries, and as #query timeouts
+the queries that exhausted the budget) straight into the
+:class:`~repro.core.report.Counters` of the function it serves.
 
 Queries come in *batches*: for one unstable-code candidate the checker asks
 an elimination or simplification question and then re-asks it under the
@@ -28,36 +29,39 @@ incremental layer: a hit skips the context entirely, a miss is solved
 incrementally and the verdict stored.  ``stats.queries`` keeps counting
 every question asked — the Figure 16 number — while ``stats.solver_queries``
 counts only the questions that actually reached a solver.
+
+:func:`set_query_hook` installs a process-wide callback that sees every
+query a solver answered; the engine's work units use it for the slow-query
+log (docs/OBSERVABILITY.md), so this module needs no part of the ops layer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.core.encode import FunctionEncoder
-from repro.obs.ops import note_query
+from repro.core.report import Counters
 from repro.obs.trace import span
 from repro.solver.solver import (DEFAULT_MAX_PROPAGATIONS, CheckResult,
                                  Solver, SolverStats)
 from repro.solver.terms import Term
 
 
-@dataclass
-class QueryStats:
-    """Counters across all queries issued by one checker run."""
+#: Called as ``hook(key, verdict, elapsed, backend)`` after every query a
+#: solver answered (cache replays excluded); see :func:`set_query_hook`.
+_query_hook: Optional[Callable[..., None]] = None
 
-    queries: int = 0
-    timeouts: int = 0
-    sat: int = 0
-    unsat: int = 0
-    cache_hits: int = 0
-    contexts: int = 0
 
-    @property
-    def solver_queries(self) -> int:
-        """Queries that reached the solver (total minus cache replays)."""
-        return self.queries - self.cache_hits
+def set_query_hook(hook: Optional[Callable[..., None]],
+                   ) -> Optional[Callable[..., None]]:
+    """Install ``hook`` for every query in this process (None removes it).
+
+    Returns the hook it displaces, so a caller can put that one back.
+    """
+    global _query_hook
+    previous = _query_hook
+    _query_hook = hook
+    return previous
 
 
 class QueryContext:
@@ -143,9 +147,9 @@ class QueryContext:
                     if definition.tid not in self._asserted:
                         solver.add(definition)
                         self._asserted.add(definition.tid)
-                before = solver.stats.total_time
+                before = solver.stats.solver_time
                 result = solver.check(assumptions=list(deltas))
-                elapsed = solver.stats.total_time - before
+                elapsed = solver.stats.solver_time - before
             else:
                 solver = Solver(engine.encoder.manager,
                                 max_propagations=engine.max_propagations,
@@ -153,7 +157,7 @@ class QueryContext:
                 for term in goal:
                     solver.add(term)
                 result = solver.check()
-                elapsed = solver.stats.total_time
+                elapsed = solver.stats.solver_time
                 engine._scratch_stats.merge(solver.stats)
 
             verdict = result.value
@@ -161,7 +165,9 @@ class QueryContext:
                 engine.cache.store(key, verdict,
                                    max_propagations=engine.max_propagations,
                                    elapsed=elapsed)
-            note_query(key, verdict, elapsed, engine.backend)
+            hook = _query_hook
+            if hook is not None:
+                hook(key, verdict, elapsed, engine.backend)
             query_span.set_arg("verdict", verdict)
             return engine._record(verdict)
 
@@ -176,19 +182,25 @@ class QueryContext:
 
 
 class QueryEngine:
-    """Issues satisfiability queries for one function's encoder."""
+    """Issues satisfiability queries for one function's encoder.
+
+    ``queries``, ``cache_hits``, ``timeouts`` and ``contexts`` are counted
+    into ``stats``: the :class:`~repro.core.report.FunctionReport` the
+    checker passes, or a fresh :class:`~repro.core.report.Counters`.
+    """
 
     def __init__(self, encoder: FunctionEncoder,
                  max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
                  cache: Optional["SolverQueryCache"] = None,
                  incremental: bool = True,
-                 backend: str = "builtin") -> None:
+                 backend: str = "builtin",
+                 stats: Optional[Counters] = None) -> None:
         self.encoder = encoder
         self.max_propagations = max_propagations
         self.cache = cache
         self.incremental = incremental
         self.backend = backend
-        self.stats = QueryStats()
+        self.stats = stats if stats is not None else Counters()
         self._shared_solver: Optional[Solver] = None
         self._scratch_stats = SolverStats()
         # Per-term records of the cache key, keyed by the tids of the
@@ -238,10 +250,8 @@ class QueryEngine:
         """Update counters for one answered query and map verdict to bool."""
         self.stats.queries += 1
         if verdict == CheckResult.UNSAT.value:
-            self.stats.unsat += 1
             return True
         if verdict == CheckResult.SAT.value:
-            self.stats.sat += 1
             return False
         self.stats.timeouts += 1
         return None

@@ -168,6 +168,29 @@ class Counters:
 #: The counter fields, in declaration (and record) order.
 COUNTER_NAMES = tuple(f.name for f in fields(Counters))
 
+#: The counters a function takes from its solver's
+#: :class:`~repro.solver.solver.SolverStats`, each under the same name.
+#: Not every name the two share: ``SolverStats.queries`` counts solver
+#: ``check`` calls, while ``Counters.queries`` also counts cache hits.
+SOLVER_COUNTERS = ("sat_calls", "restarts", "blasted_clauses", "solver_time",
+                   "oracle_sat", "oracle_unsat")
+
+
+@dataclass
+class ClusterStats:
+    """The counters of one clustered run, the run record's ``cluster`` block.
+
+    :func:`repro.cluster.propagate.propagate_clusters` counts into it, and
+    the engine's ``RunStats`` extends it (docs/CLUSTER.md).
+    """
+
+    cluster_functions: int = 0              # functions that entered clustering
+    cluster_clusters: int = 0               # distinct canonical forms
+    cluster_propagated: int = 0             # verdicts copied from a representative
+    cluster_confirmed: int = 0              # members that passed the solver gate
+    cluster_fallbacks: int = 0              # members re-checked in full instead
+    cluster_time: float = 0.0               # seconds fingerprinting + confirming
+
 
 @dataclass
 class FunctionReport(Counters):

@@ -18,11 +18,11 @@ submission order, so their counters repeat run to run.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.checker import CheckerConfig
-from repro.core.report import BugReport, Counters
+from repro.core.report import BugReport, ClusterStats, Counters
 from repro.engine.cache import SolverQueryCache
 from repro.engine.sink import (JsonlResultSink, repair_block, solver_block,
                                witnesses_block)
@@ -60,10 +60,11 @@ class EngineConfig:
 
 
 @dataclass
-class RunStats(Counters):
+class RunStats(Counters, ClusterStats):
     """Aggregate statistics of one engine run (the Figure 16 counters).
 
-    The record counters come from :class:`~repro.core.report.Counters`;
+    The record counters come from :class:`~repro.core.report.Counters`,
+    the clustering counters from :class:`~repro.core.report.ClusterStats`;
     the fields below are the run's own.
     """
 
@@ -76,13 +77,6 @@ class RunStats(Counters):
     escalated_units: int = 0
     workers: int = 0
     wall_clock: float = 0.0
-    # Structural-clustering dedup totals (repro.cluster / docs/CLUSTER.md):
-    cluster_functions: int = 0           # functions that entered clustering
-    cluster_clusters: int = 0            # distinct canonical forms
-    cluster_propagated: int = 0          # verdicts copied from representatives
-    cluster_confirmed: int = 0           # members passing the solver gate
-    cluster_fallbacks: int = 0           # members re-checked in full
-    cluster_time: float = 0.0            # seconds fingerprinting + confirming
 
     def merge(self, other: "RunStats") -> None:
         """Accumulate another run's counters into this one.
@@ -132,14 +126,17 @@ class RunStats(Counters):
 
 
 def aggregate_results(results: Sequence[UnitResult], wall_clock: float,
-                      workers: int = 1) -> RunStats:
+                      workers: int = 1,
+                      cluster: Optional[ClusterStats] = None) -> RunStats:
     """Fold per-unit results into one :class:`RunStats`.
 
     Shared by the engine (one call per run) and the checking daemon (one
     call per served job — docs/SERVE.md), so batch and served run-summary
-    records are built by the same code.
+    records are built by the same code.  ``cluster`` carries a clustered
+    run's counters.
     """
-    stats = RunStats(workers=max(1, workers), wall_clock=wall_clock)
+    stats = RunStats(workers=max(1, workers), wall_clock=wall_clock,
+                     **(asdict(cluster) if cluster is not None else {}))
     for result in results:
         stats.units += 1
         if not result.ok:
@@ -241,14 +238,9 @@ class CheckEngine:
                 interrupted = True
                 results = list(collected)
             wall_clock = time.monotonic() - started
-            stats = self._aggregate(results, wall_clock)
-            if cluster_stats is not None:
-                stats.cluster_functions = cluster_stats.functions
-                stats.cluster_clusters = cluster_stats.clusters
-                stats.cluster_propagated = cluster_stats.propagated
-                stats.cluster_confirmed = cluster_stats.confirmed
-                stats.cluster_fallbacks = cluster_stats.fallbacks
-                stats.cluster_time = cluster_stats.cluster_time
+            stats = aggregate_results(results, wall_clock,
+                                      workers=self.config.workers,
+                                      cluster=cluster_stats)
             trace_root, trace_metrics = (None, None) if interrupted \
                 else self._assemble_trace(results, wall_clock)
             if trace_root is not None:
@@ -455,11 +447,6 @@ class CheckEngine:
             name, source = unit
             return WorkUnit(name=name, source=source)
         raise TypeError(f"cannot build a WorkUnit from {type(unit).__name__}")
-
-    def _aggregate(self, results: Sequence[UnitResult],
-                   wall_clock: float) -> RunStats:
-        return aggregate_results(results, wall_clock,
-                                 workers=self.config.workers)
 
     def _assemble_trace(self, results: Sequence[UnitResult],
                         wall_clock: float):

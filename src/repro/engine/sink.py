@@ -17,7 +17,8 @@ import json
 import os
 from typing import IO, Dict, List, Optional
 
-from repro.core.report import COUNTER_NAMES, BugReport, Counters, Diagnostic
+from repro.core.report import (COUNTER_NAMES, SOLVER_COUNTERS, BugReport,
+                               Counters, Diagnostic)
 
 #: Record fields that measure wall-clock time.  Everything else in a unit
 #: or run record is a deterministic function of the corpus and the checker
@@ -73,15 +74,11 @@ def diagnostic_to_dict(diagnostic: Diagnostic) -> Dict[str, object]:
 def solver_block(counters: Counters) -> Dict[str, object]:
     """The solver counters: flat in function and unit records, the
     ``"solver"`` block of the run summary."""
-    return {
-        "contexts": counters.contexts,
-        "sat_calls": counters.sat_calls,
-        "restarts": counters.restarts,
-        "blasted_clauses": counters.blasted_clauses,
-        "solver_time": round(counters.solver_time, 6),
-        "oracle_sat": counters.oracle_sat,
-        "oracle_unsat": counters.oracle_unsat,
-    }
+    block: Dict[str, object] = {"contexts": counters.contexts}
+    for name in SOLVER_COUNTERS:
+        value = getattr(counters, name)
+        block[name] = round(value, 6) if name in TIMING_FIELDS else value
+    return block
 
 
 def witnesses_block(counters: Counters) -> Dict[str, object]:

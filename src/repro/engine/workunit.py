@@ -11,10 +11,10 @@ units out over the worker processes of
 :class:`~repro.engine.pool.WarmWorkerPool`.
 
 Each function is checked through incremental solver contexts (see
-:mod:`repro.core.queries`); the per-function :class:`FunctionReport`
-carries the aggregated :class:`~repro.solver.solver.SolverStats` counters,
-and escalation retries replace a starved function's report wholesale — so
-unit results always reflect the budget that actually produced them.
+:mod:`repro.core.queries`), which count straight into the per-function
+:class:`FunctionReport`; escalation retries replace a starved function's
+report wholesale — so unit results always reflect the budget that actually
+produced them.
 ``escalate_config`` copies every checker field, including ``incremental``,
 so retries run in the same solving mode as the base pass.
 
@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.checker import CheckerConfig, StackChecker
+from repro.core.queries import set_query_hook
 from repro.core.report import BugReport
 from repro.engine.cache import SolverQueryCache
 from repro.ir.function import Module
@@ -111,15 +112,16 @@ def check_work_unit(unit: WorkUnit, config: CheckerConfig,
 
     With ``config.trace`` set, the unit runs under a fresh tracer whose
     serialized spans ride home in ``meta["obs"]`` (see module docstring).
-    With ``config.slow_query_ms`` set, a process-local
-    :class:`~repro.obs.ops.SlowQueryRecorder` is active for the unit's
-    lifetime and its records ride home in ``UnitResult.slow_queries``.
+    With ``config.slow_query_ms`` set, a
+    :class:`~repro.obs.ops.SlowQueryRecorder` is the query hook
+    (:func:`repro.core.queries.set_query_hook`) for the unit's lifetime and
+    its records ride home in ``UnitResult.slow_queries``.
     """
     recorder = None
-    previous_slow = None
+    previous_hook = None
     if config.slow_query_ms is not None:
         recorder = obs_ops.SlowQueryRecorder(config.slow_query_ms)
-        previous_slow = obs_ops.activate_slow_queries(recorder)
+        previous_hook = set_query_hook(recorder.note)
     try:
         if not config.trace:
             result = _check_work_unit(unit, config, cache=cache,
@@ -139,7 +141,7 @@ def check_work_unit(unit: WorkUnit, config: CheckerConfig,
             result.meta["obs"] = tracer.to_blob()
     finally:
         if recorder is not None:
-            obs_ops.restore_slow_queries(previous_slow)
+            set_query_hook(previous_hook)
     if recorder is not None:
         result.slow_queries = recorder.records
     return result

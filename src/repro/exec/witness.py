@@ -31,14 +31,14 @@ is surfaced in the report's reason.  Budget exhaustion (no model, fuel) is
 from __future__ import annotations
 
 import enum
-import random
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.compilers.passes import Capability
 from repro.compilers.pipeline import OptimizationPipeline
 from repro.core.encode import FunctionEncoder
-from repro.core.report import Diagnostic
+from repro.core.report import Counters, Diagnostic
 from repro.core.ubconditions import UBCondition, UBKind
 from repro.exec.clone import clone_function
 from repro.exec.interp import ExecResult, ExecStatus, ExternalEnv, run_function
@@ -226,30 +226,30 @@ def validate_diagnostics(
         function: Function, encoder: FunctionEncoder,
         findings: Sequence[Tuple[Diagnostic, Sequence[Term],
                                  Sequence[UBCondition]]],
-        module: Optional[Module] = None, fuel: int = 50_000,
+        counters: Counters,
         max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
-        seed: int = 0,
-        rng: Optional[random.Random] = None) -> Dict[str, int]:
+        seed: int = 0) -> None:
     """Stage-5 entry point used by the checker.
 
     Replays every ``(diagnostic, hypothesis, conditions)`` triple, attaches
-    the :class:`WitnessReport` to the diagnostic, and returns verdict counts.
+    the :class:`WitnessReport` to the diagnostic, and counts each verdict
+    and the time spent into ``counters`` (the function's report).
     ``seed`` feeds the replay's :class:`ExternalEnv` so CLI and library runs
-    reproduce bit for bit.  Callers threading one :class:`random.Random`
-    end to end (the fuzz campaign) pass ``rng`` instead, and the replay
-    seed is drawn from it in sequence with the caller's other draws.
+    reproduce bit for bit.
     """
-    if rng is not None:
-        seed = rng.getrandbits(32)
-    counts = {verdict.value: 0 for verdict in WitnessVerdict}
+    started = time.monotonic()
     for diagnostic, hypothesis, conditions in findings:
         with span("witness.replay") as replay_span:
             witness = replay_diagnostic(function, encoder, diagnostic,
-                                        hypothesis, conditions, module=module,
-                                        fuel=fuel,
+                                        hypothesis, conditions,
                                         max_propagations=max_propagations,
                                         seed=seed)
             replay_span.set_arg("verdict", witness.verdict.value)
         diagnostic.witness = witness
-        counts[witness.verdict.value] += 1
-    return counts
+        if witness.verdict is WitnessVerdict.CONFIRMED:
+            counters.witnesses_confirmed += 1
+        elif witness.verdict is WitnessVerdict.UNCONFIRMED:
+            counters.witnesses_unconfirmed += 1
+        else:
+            counters.witnesses_inconclusive += 1
+    counters.witness_time += time.monotonic() - started

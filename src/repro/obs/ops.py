@@ -20,12 +20,11 @@ wires together (docs/OBSERVABILITY.md, "Operating the daemon"):
   :class:`~repro.obs.flightrec.FlightRecorder` fed every event (at *all*
   levels, so a post-mortem sees the debug trail the log filtered out), and
   the dump trigger (``emit(..., dump=True)`` writes a flight record).
-* The **slow-query hook** — a process-local recorder the solver's query
-  layer feeds (:mod:`repro.core.queries` calls :func:`note_query`, one
-  global read when off).  Workers collect the records per unit
-  (``UnitResult.slow_queries``) and the daemon turns them into
-  ``slow-query`` log events with the query key, backend, verdict, and
-  duration.
+* :class:`SlowQueryRecorder` — installed as the solver's query hook
+  (:func:`repro.core.queries.set_query_hook`, one global read when off).
+  Workers collect the records per unit (``UnitResult.slow_queries``) and
+  the daemon turns them into ``slow-query`` log events with the query key,
+  backend, verdict, and duration.
 """
 
 from __future__ import annotations
@@ -43,10 +42,6 @@ __all__ = [
     "EventLog",
     "Ops",
     "SlowQueryRecorder",
-    "activate_slow_queries",
-    "current_slow_query_recorder",
-    "note_query",
-    "restore_slow_queries",
     "validate_log_record",
 ]
 
@@ -217,7 +212,7 @@ class Ops:
         self.log.close()
 
 
-# -- the process-local slow-query recorder -------------------------------------------
+# -- the slow-query recorder ------------------------------------------------------
 
 
 class SlowQueryRecorder:
@@ -225,8 +220,8 @@ class SlowQueryRecorder:
 
     Activated per work unit by
     :func:`repro.engine.workunit.check_work_unit` when
-    ``CheckerConfig.slow_query_ms`` is set; :mod:`repro.core.queries`
-    feeds it via :func:`note_query`.  Records are JSON-safe dicts —
+    ``CheckerConfig.slow_query_ms`` is set, as the query hook of
+    :mod:`repro.core.queries` (:meth:`note`).  Records are JSON-safe dicts —
     ``{"key", "backend", "verdict", "duration_ms"}`` — and deliberately
     ride on :class:`~repro.engine.workunit.UnitResult` *outside* ``meta``,
     so they can never leak into the deterministic JSONL unit records.
@@ -253,31 +248,3 @@ class SlowQueryRecorder:
             "duration_ms": round(duration_ms, 3),
         })
 
-
-_ACTIVE_SLOW: Optional[SlowQueryRecorder] = None
-
-
-def current_slow_query_recorder() -> Optional[SlowQueryRecorder]:
-    return _ACTIVE_SLOW
-
-
-def activate_slow_queries(recorder: SlowQueryRecorder,
-                          ) -> Optional[SlowQueryRecorder]:
-    """Install the process-local recorder; returns the displaced one."""
-    global _ACTIVE_SLOW
-    previous = _ACTIVE_SLOW
-    _ACTIVE_SLOW = recorder
-    return previous
-
-
-def restore_slow_queries(previous: Optional[SlowQueryRecorder]) -> None:
-    global _ACTIVE_SLOW
-    _ACTIVE_SLOW = previous
-
-
-def note_query(key: Optional[str], verdict: Any, elapsed: float,
-               backend: str) -> None:
-    """Feed one solved query to the active recorder (no-op when off)."""
-    recorder = _ACTIVE_SLOW
-    if recorder is not None:
-        recorder.note(key, verdict, elapsed, backend)

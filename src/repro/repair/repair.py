@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import difflib
 import enum
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.encode import FunctionEncoder
-from repro.core.report import Diagnostic
+from repro.core.report import Counters, Diagnostic
 from repro.core.ubconditions import UBCondition
 from repro.exec.witness import solve_witness_model
 from repro.ir.function import Function
@@ -235,29 +236,31 @@ RepairWorkItem = Tuple[Diagnostic, object, Sequence[Term],
 
 def repair_diagnostics(function: Function, encoder: FunctionEncoder,
                        work: Sequence[RepairWorkItem], config,
-                       cache=None) -> Dict[str, int]:
+                       counters: Counters, cache=None) -> None:
     """Stage-6 entry point used by the checker.
 
     Repairs every ``(diagnostic, finding, hypothesis, conditions)`` item,
-    attaches the :class:`RepairReport` to the diagnostic, and returns the
-    counter dictionary the :class:`FunctionReport` records.
+    attaches the :class:`RepairReport` to the diagnostic, and counts each
+    outcome, each gate rejection and the time spent into ``counters`` (the
+    function's report).
     """
-    counts = {"attempted": 0, "repaired": 0, "rejected": 0, "no_template": 0}
-    for gate in GATES:
-        counts[f"gate_{gate}"] = 0
+    started = time.monotonic()
     gate_memo: Dict[str, Tuple[GateResult, Optional[GateResult]]] = {}
     for diagnostic, finding, hypothesis, conditions in work:
         report = repair_diagnostic(function, encoder, diagnostic, finding,
                                    hypothesis, conditions, config,
                                    cache=cache, gate_memo=gate_memo)
         diagnostic.repair = report
-        counts["attempted"] += 1
+        counters.repairs_attempted += 1
         if report.status is RepairStatus.REPAIRED:
-            counts["repaired"] += 1
+            counters.repairs_succeeded += 1
         elif report.status is RepairStatus.REJECTED:
-            counts["rejected"] += 1
+            counters.repairs_rejected += 1
         else:
-            counts["no_template"] += 1
-        for gate, rejected in report.gate_rejections.items():
-            counts[f"gate_{gate}"] += rejected
-    return counts
+            counters.repairs_no_template += 1
+        rejections = report.gate_rejections
+        counters.repair_gate_equivalence_rejects += \
+            rejections.get("equivalence", 0)
+        counters.repair_gate_recheck_rejects += rejections.get("recheck", 0)
+        counters.repair_gate_replay_rejects += rejections.get("replay", 0)
+    counters.repair_time += time.monotonic() - started

@@ -81,7 +81,7 @@ class SolverStats:
     sat: int = 0
     unsat: int = 0
     unknown: int = 0
-    total_time: float = 0.0
+    solver_time: float = 0.0      # seconds inside check
 
     oracle_sat: int = 0           # queries decided SAT by the oracle pre-pass
     oracle_unsat: int = 0         # queries decided UNSAT by constant folding
@@ -96,7 +96,7 @@ class SolverStats:
 
     def record(self, result: CheckResult, elapsed: float) -> None:
         self.queries += 1
-        self.total_time += elapsed
+        self.solver_time += elapsed
         if result is CheckResult.SAT:
             self.sat += 1
         elif result is CheckResult.UNSAT:

@@ -413,7 +413,8 @@ def test_sigterm_interrupts_like_ctrl_c(tmp_path):
 
 
 def test_default_check_loads_no_external_backend(tmp_path):
-    """The dimacs and pysat backends are imported only when named."""
+    """The dimacs and pysat backends are imported only when named, and
+    the check path does not load the ops layer."""
     import os
     import subprocess
     import sys
@@ -433,6 +434,8 @@ def test_default_check_loads_no_external_backend(tmp_path):
     assert "repro.solver.backends.builtin" in imported
     assert "repro.solver.backends.dimacs" not in imported
     assert "repro.solver.backends.pysat_backend" not in imported
+    assert "repro.obs.ops" not in imported
+    assert "repro.obs.flightrec" not in imported
 
 
 def test_run_summary_records_carry_version_and_config(tmp_path, capsys):

@@ -134,9 +134,9 @@ class TestPropagation:
         plain = StackChecker(CheckerConfig()).check_module(
             compile_source(source, "t.c"))
         assert report_signature(clustered) == report_signature(plain)
-        assert stats.clusters == 1
-        assert stats.propagated == stats.confirmed == 3
-        assert stats.fallbacks == 0
+        assert stats.cluster_clusters == 1
+        assert stats.cluster_propagated == stats.cluster_confirmed == 3
+        assert stats.cluster_fallbacks == 0
         flags = [fr.cluster_propagated for fr in clustered.functions]
         assert flags == [False, True, True, True]
         assert all(len(fr.diagnostics) > 0 for fr in clustered.functions)
@@ -161,8 +161,8 @@ class TestPropagation:
         plain = StackChecker(CheckerConfig()).check_module(
             compile_source(source, "t.c"))
         assert report_signature(clustered) == report_signature(plain)
-        assert stats.clusters == 1
-        assert stats.propagated == 0 and stats.fallbacks == 1
+        assert stats.cluster_clusters == 1
+        assert stats.cluster_propagated == 0 and stats.cluster_fallbacks == 1
         assert not any(fr.cluster_propagated for fr in clustered.functions)
 
     def test_checker_config_flag_routes_check_module(self):

@@ -9,7 +9,10 @@ import os
 
 import pytest
 
+from repro.api import compile_source
 from repro.core.checker import CheckerConfig
+from repro.core.encode import FunctionEncoder
+from repro.core.queries import QueryEngine, set_query_hook
 from repro.engine.pool import CRASH_META_KEY, TEST_HOOKS_ENV, WarmWorkerPool
 from repro.engine.workunit import WorkUnit, check_work_unit
 from repro.obs.flightrec import FlightRecorder, validate_flight_record
@@ -18,9 +21,6 @@ from repro.obs.ops import (
     EventLog,
     Ops,
     SlowQueryRecorder,
-    activate_slow_queries,
-    note_query,
-    restore_slow_queries,
     validate_log_record,
 )
 from repro.obs.promexport import (
@@ -306,16 +306,18 @@ def test_slow_query_recorder_threshold_and_capacity():
     assert recorder.dropped == 1
 
 
-def test_note_query_is_a_noop_when_inactive():
-    note_query("key", True, 10.0, "builtin")         # must not raise
+def test_query_hook_is_a_noop_when_inactive():
+    encoder = FunctionEncoder(compile_source(UNSTABLE).defined_functions()[0])
+    manager = encoder.manager
+    assert QueryEngine(encoder).is_unsat([manager.true()]) is False
     recorder = SlowQueryRecorder(threshold_ms=0.0)
-    previous = activate_slow_queries(recorder)
+    previous = set_query_hook(recorder.note)
     try:
-        note_query("key", True, 0.001, "builtin")
+        assert QueryEngine(encoder).is_unsat([manager.false()]) is True
     finally:
-        restore_slow_queries(previous)
-    note_query("key2", True, 10.0, "builtin")        # inactive again
-    assert [r["key"] for r in recorder.records] == ["key"]
+        assert set_query_hook(previous) == recorder.note
+    assert QueryEngine(encoder).is_unsat([manager.true()]) is False
+    assert [r["verdict"] for r in recorder.records] == ["unsat"]
 
 
 def test_check_work_unit_collects_slow_queries():

@@ -13,12 +13,16 @@ record and the run summary carry it.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from repro.core.report import (COUNTER_NAMES, BugReport, Counters,
-                               FunctionReport)
-from repro.engine.engine import RunStats, aggregate_results
+from repro.core.checker import CheckerConfig
+from repro.core.report import (COUNTER_NAMES, SOLVER_COUNTERS, BugReport,
+                               ClusterStats, Counters, FunctionReport)
+from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS
+from repro.engine.engine import (CheckEngine, EngineConfig, RunStats,
+                                 aggregate_results)
 from repro.engine.sink import report_to_dict
 from repro.engine.workunit import UnitResult
 from repro.obs.metrics import merge_counter_dataclass
@@ -145,6 +149,12 @@ def test_counters_are_declared_once():
     for name in ("function", "diagnostics", "suppressed_compiler_origin",
                  "cluster_propagated"):
         assert name not in COUNTER_NAMES
+    solver_fields = {field.name for field in dataclasses.fields(SolverStats)}
+    for name in SOLVER_COUNTERS:
+        assert name in COUNTER_NAMES and name in solver_fields, name
+    # SolverStats.queries counts check calls; Counters.queries cache hits too.
+    assert "queries" not in SOLVER_COUNTERS
+    assert issubclass(RunStats, ClusterStats)
 
 
 def test_totals_sum_every_counter(units):
@@ -198,3 +208,35 @@ def test_run_summary_carries_every_counter(units):
     values = leaves(aggregate_results(units, wall_clock=1.0).as_dict())
     for counter in COUNTER_NAMES:
         assert expected_sum(functions, counter) in values, counter
+
+
+def test_stage_counters_match_the_attached_reports():
+    """Each function's witness and repair counters tally the reports that
+    stages 5 and 6 attached to its diagnostics."""
+    units = [(snippet.name, snippet.render("v"))
+             for snippet in SNIPPETS + STABLE_SNIPPETS]
+    config = CheckerConfig(validate_witnesses=True, repair=True)
+    result = CheckEngine(EngineConfig(checker=config, cache_enabled=False)) \
+        .check_corpus(units)
+    functions = [fr for report in result.reports for fr in report.functions]
+    for fr in functions:
+        verdicts = Counter(d.witness.verdict.value for d in fr.diagnostics)
+        assert (fr.witnesses_confirmed, fr.witnesses_unconfirmed,
+                fr.witnesses_inconclusive) == (
+            verdicts["confirmed"], verdicts["unconfirmed"],
+            verdicts["inconclusive"]), fr.function
+        statuses = Counter(d.repair.status.value for d in fr.diagnostics)
+        assert (fr.repairs_attempted, fr.repairs_succeeded,
+                fr.repairs_rejected, fr.repairs_no_template) == (
+            len(fr.diagnostics), statuses["repaired"], statuses["rejected"],
+            statuses["no template"]), fr.function
+        rejections = Counter()
+        for diagnostic in fr.diagnostics:
+            rejections.update(diagnostic.repair.gate_rejections)
+        assert (fr.repair_gate_equivalence_rejects,
+                fr.repair_gate_recheck_rejects,
+                fr.repair_gate_replay_rejects) == (
+            rejections["equivalence"], rejections["recheck"],
+            rejections["replay"]), fr.function
+    totals = result.stats
+    assert totals.witnesses_confirmed > 0 and totals.repairs_succeeded > 0
