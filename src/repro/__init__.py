@@ -14,7 +14,7 @@ This package re-implements the full system in Python:
   compiler survey (Figure 4),
 * :mod:`repro.corpus` — the paper's code snippets and synthetic corpora,
 * :mod:`repro.engine` — the parallel corpus-checking engine (worker pool,
-  solver-query cache, budget escalation, JSONL result streaming),
+  solver-query cache, JSONL result streaming),
 * :mod:`repro.exec` — the concrete-execution subsystem: an IR interpreter
   with runtime UB detection, witness replay for diagnostics
   (``CheckerConfig(validate_witnesses=True)``), and differential testing of

@@ -171,60 +171,33 @@ def _propagated_report(rep_report: FunctionReport,
         cluster_propagated=True)
 
 
-def check_function_escalating(
-    function: Function, config: CheckerConfig, cache=None,
-    escalation_factors: Sequence[float] = (),
-) -> Tuple[FunctionReport, int, bool]:
-    """One function through the checker with the engine's escalation ladder."""
-    from repro.engine.workunit import escalate_config
-
-    checker = StackChecker(config, query_cache=cache)
-    report = checker.check_function(function)
-    attempts, escalated = 1, False
-    for factor in escalation_factors:
-        if report.timeouts <= 0:
-            break
-        escalated = True
-        attempts += 1
-        retry = StackChecker(escalate_config(config, factor), query_cache=cache)
-        report = retry.check_function(function)
-    return report, attempts, escalated
-
-
 def propagate_clusters(
     clusters: Sequence[FunctionCluster],
     config: CheckerConfig,
     cache=None,
-    escalation_factors: Sequence[float] = (),
-    rep_results: Optional[Dict[int, Tuple[FunctionReport, int, bool]]] = None,
+    rep_results: Optional[Dict[int, FunctionReport]] = None,
 ) -> Tuple[Dict[Tuple[int, int], FunctionReport],
-           Dict[Tuple[int, int], Tuple[int, bool]],
            ClusterStats, List[Dict[str, object]]]:
     """Solve representatives, confirm members, and copy verdicts.
 
     ``rep_results`` maps cluster index to an already-computed representative
-    ``(report, attempts, escalated)`` triple (the engine supplies these from
-    its worker pool); missing entries are checked here, sequentially.
-    Returns per-function reports keyed by ``(unit, index)``, per-function
-    ``(attempts, escalated)`` bookkeeping, the run's :class:`ClusterStats`,
-    and one JSON-ready record per cluster for the result sink.
+    report (the engine supplies these from its worker pool); missing entries
+    are checked here, sequentially.  Returns per-function reports keyed by
+    ``(unit, index)``, the run's :class:`ClusterStats`, and one JSON-ready
+    record per cluster for the result sink.
     """
     reports: Dict[Tuple[int, int], FunctionReport] = {}
-    bookkeeping: Dict[Tuple[int, int], Tuple[int, bool]] = {}
+    checker = StackChecker(config, query_cache=cache)
     stats = ClusterStats(cluster_clusters=len(clusters))
     records: List[Dict[str, object]] = []
 
     for cluster_index, cluster in enumerate(clusters):
         stats.cluster_functions += len(cluster.members)
         representative = cluster.representative
-        precomputed = (rep_results or {}).get(cluster_index)
-        if precomputed is None:
-            rep_report, attempts, escalated = check_function_escalating(
-                representative.function, config, cache, escalation_factors)
-        else:
-            rep_report, attempts, escalated = precomputed
+        rep_report = (rep_results or {}).get(cluster_index)
+        if rep_report is None:
+            rep_report = checker.check_function(representative.function)
         reports[representative.key] = rep_report
-        bookkeeping[representative.key] = (attempts, escalated)
 
         propagated = fallbacks = 0
         confirmer: Optional[ClusterConfirmer] = None
@@ -247,13 +220,10 @@ def propagate_clusters(
             if report is not None:
                 stats.cluster_propagated += 1
                 propagated += 1
-                bookkeeping[member.key] = (1, False)
             else:
                 fallbacks += 1
                 stats.cluster_fallbacks += 1
-                report, attempts, escalated = check_function_escalating(
-                    member.function, config, cache, escalation_factors)
-                bookkeeping[member.key] = (attempts, escalated)
+                report = checker.check_function(member.function)
             reports[member.key] = report
 
         records.append({
@@ -267,12 +237,11 @@ def propagate_clusters(
             "propagated": propagated,
             "fallbacks": fallbacks,
         })
-    return reports, bookkeeping, stats, records
+    return reports, stats, records
 
 
 def check_module_clustered(
     module: Module, config: CheckerConfig, cache=None,
-    escalation_factors: Sequence[float] = (),
 ) -> Tuple[BugReport, ClusterStats]:
     """Single-module clustering: the :class:`StackChecker` cluster path.
 
@@ -292,8 +261,7 @@ def check_module_clustered(
         for index, function in enumerate(functions))
     fingerprint_time = time.monotonic() - started
 
-    reports, _bookkeeping, stats, _records = propagate_clusters(
-        clusters, base, cache, escalation_factors)
+    reports, stats, _records = propagate_clusters(clusters, base, cache)
     stats.cluster_time += fingerprint_time
 
     report = BugReport(module=module.name)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.core.ubconditions import UBCondition, UBKind
 from repro.ir.source import Origin, SourceLocation
@@ -170,8 +170,6 @@ COUNTER_NAMES = tuple(f.name for f in fields(Counters))
 
 #: The counters a function takes from its solver's
 #: :class:`~repro.solver.solver.SolverStats`, each under the same name.
-#: Not every name the two share: ``SolverStats.queries`` counts solver
-#: ``check`` calls, while ``Counters.queries`` also counts cache hits.
 SOLVER_COUNTERS = ("sat_calls", "restarts", "blasted_clauses", "solver_time",
                    "oracle_sat", "oracle_unsat")
 

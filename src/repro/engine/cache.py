@@ -41,8 +41,9 @@ The design points that matter for soundness and speed:
   budget, but a budget exhausted at a small size says nothing about a
   larger one.  Each entry records the propagation budget it was computed
   under, and an ``unknown`` verdict is only replayed when the cached budget
-  covers the requested one — which is exactly what lets the engine's
-  escalation retries re-solve instead of replaying a stale ``unknown``.
+  covers the requested one — so runs and served jobs with different
+  ``max_propagations`` can share one cache file, and a larger budget
+  re-solves instead of replaying a stale ``unknown``.
   The budget does not depend on the clock, so neither does a replayed
   ``unknown``.  Files written when the budget was a deadline or a conflict
   count hold ``unknown`` entries with no ``max_propagations``; the reader

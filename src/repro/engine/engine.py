@@ -1,13 +1,15 @@
-"""The corpus-checking engine: fan-out, caching, escalation, streaming.
+"""The corpus-checking engine: fan-out, caching, streaming.
 
 The paper's headline experiment runs the checker over the entire Debian
 Wheezy archive (§6.5, Figure 16).  :class:`CheckEngine` is the substrate for
 that workload in this reproduction: it takes a corpus of translation units,
 fans one work unit per unit out over a warm worker pool
 (:mod:`repro.engine.pool`, the pool the checking daemon runs on), shares a
-content-addressed solver-query cache across units / workers / runs, retries
-functions that blow the per-query budget under an escalated budget, and
+content-addressed solver-query cache across units / workers / runs, and
 streams per-unit results to a JSONL sink together with run-level statistics.
+Every function is checked once under ``CheckerConfig.max_propagations``, as
+``check_source`` checks it, so a unit's record does not depend on the entry
+point.
 
 Sequential mode (``workers <= 1``) runs everything in-process with identical
 semantics — it is the reference the parallel path is tested against.
@@ -49,9 +51,6 @@ class EngineConfig:
     cache_enabled: bool = True
     #: JSONL file the cache is warmed from and flushed to (None = in-memory only).
     cache_path: Optional[str] = None
-    #: Cumulative budget multipliers for retrying functions whose queries
-    #: exhausted their budget: base*4, then base*16 by default.
-    escalation_factors: Tuple[float, ...] = (4.0, 16.0)
     #: JSONL file streaming one record per finished unit plus a run summary.
     results_path: Optional[str] = None
     #: Chrome trace-event JSON written after the run (implies tracing; load
@@ -74,7 +73,6 @@ class RunStats(Counters, ClusterStats):
     diagnostics: int = 0
     solver_queries: int = 0              # queries - cache_hits, stored so
                                          # merges and run.* metrics carry it
-    escalated_units: int = 0
     workers: int = 0
     wall_clock: float = 0.0
 
@@ -107,7 +105,6 @@ class RunStats(Counters, ClusterStats):
             "solver_queries": self.solver_queries,
             "cache_hits": self.cache_hits,
             "timeouts": self.timeouts,
-            "escalated_units": self.escalated_units,
             "workers": self.workers,
             "wall_clock": round(self.wall_clock, 6),
             "analysis_time": round(self.analysis_time, 6),
@@ -141,8 +138,6 @@ def aggregate_results(results: Sequence[UnitResult], wall_clock: float,
         stats.units += 1
         if not result.ok:
             stats.failed_units += 1
-        if result.escalated:
-            stats.escalated_units += 1
         report = result.report
         stats.functions += len(report.functions)
         stats.diagnostics += len(report.bugs)
@@ -283,10 +278,8 @@ class CheckEngine:
         checker = config if config is not None else self.config.checker
         results: List[UnitResult] = []
         for unit in work:
-            result = check_work_unit(
-                unit, checker, cache=self.cache,
-                escalation_factors=self.config.escalation_factors,
-                drain_cache=False)
+            result = check_work_unit(unit, checker, cache=self.cache,
+                                     drain_cache=False)
             result.trace = result.meta.pop("obs", None)
             results.append(result)
             self._record(result, sink, collected)
@@ -304,8 +297,7 @@ class CheckEngine:
         with WarmWorkerPool(
                 workers=min(self.config.workers, len(work)),
                 checker=config if config is not None else self.config.checker,
-                cache=self.cache,
-                escalation_factors=self.config.escalation_factors) as pool:
+                cache=self.cache) as pool:
             # Submitting everything before the first collect() sends unit i
             # to worker i mod N, so every worker's cache sees a fixed run.
             for index, unit in enumerate(work):
@@ -389,31 +381,23 @@ class CheckEngine:
         rep_results = {}
         for cluster_index, result in enumerate(rep_unit_results):
             if result.error is None and result.report.functions:
-                rep_results[cluster_index] = (result.report.functions[0],
-                                              result.attempts, result.escalated)
+                rep_results[cluster_index] = result.report.functions[0]
 
-        reports, bookkeeping, cluster_stats, records = propagate_clusters(
-            clusters, base, cache=self.cache,
-            escalation_factors=self.config.escalation_factors,
-            rep_results=rep_results)
+        reports, cluster_stats, records = propagate_clusters(
+            clusters, base, cache=self.cache, rep_results=rep_results)
         cluster_stats.cluster_time += fingerprint_time
 
         results: List[UnitResult] = []
         for unit_index, unit in enumerate(work):
             module, error = modules[unit_index], errors[unit_index]
             report = BugReport(module=unit.name)
-            attempts, escalated = 1, False
             if module is not None:
                 report.module = module.name or unit.name
                 for function_index in range(len(module.defined_functions())):
-                    key = (unit_index, function_index)
-                    report.functions.append(reports[key])
-                    unit_attempts, unit_escalated = bookkeeping[key]
-                    attempts = max(attempts, unit_attempts)
-                    escalated = escalated or unit_escalated
-            result = UnitResult(name=unit.name, report=report,
-                                attempts=attempts, escalated=escalated,
-                                error=error, meta=dict(unit.meta))
+                    report.functions.append(reports[(unit_index,
+                                                     function_index)])
+            result = UnitResult(name=unit.name, report=report, error=error,
+                                meta=dict(unit.meta))
             results.append(result)
             self._record(result, sink, collected)
         if sink is not None:
@@ -430,9 +414,7 @@ class CheckEngine:
         if collected is not None:
             collected.append(result)
         if sink is not None:
-            sink.write_unit(result.name, result.report,
-                            attempts=result.attempts,
-                            escalated=result.escalated, error=result.error,
+            sink.write_unit(result.name, result.report, error=result.error,
                             meta=result.meta)
 
     @staticmethod
@@ -500,7 +482,6 @@ class CheckEngine:
             "engine": {
                 "workers": self.config.workers,
                 "cache_enabled": self.config.cache_enabled,
-                "escalation_factors": list(self.config.escalation_factors),
             },
         }
         if self.cache is not None:

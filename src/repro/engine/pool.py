@@ -45,7 +45,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.core.checker import CheckerConfig
 from repro.core.report import BugReport
@@ -72,8 +72,8 @@ def _error_result(unit: WorkUnit, error: str) -> UnitResult:
 
 
 def _worker_main(worker_id: int, task_queue, result_queue,
-                 checker: CheckerConfig, cache_seed: Optional[List[dict]],
-                 escalation: Tuple[float, ...]) -> None:
+                 checker: CheckerConfig,
+                 cache_seed: Optional[List[dict]]) -> None:
     """Body of one warm worker process.
 
     The cache constructed here is the worker's warm state: it persists
@@ -103,7 +103,6 @@ def _worker_main(worker_id: int, task_queue, result_queue,
             os._exit(42)                  # simulated mid-unit worker death
         try:
             result = check_work_unit(unit, config or checker, cache=cache,
-                                     escalation_factors=escalation,
                                      drain_cache=True)
         except BaseException as exc:      # a bad unit must not kill the worker
             result = _error_result(unit, f"{type(exc).__name__}: {exc}")
@@ -142,7 +141,6 @@ class WarmWorkerPool:
 
     def __init__(self, workers: int, checker: Optional[CheckerConfig] = None,
                  cache: Optional[SolverQueryCache] = None,
-                 escalation_factors: Tuple[float, ...] = (4.0, 16.0),
                  max_retries: int = 1,
                  completed_history: int = 4096,
                  ops: Optional[Ops] = None) -> None:
@@ -151,7 +149,6 @@ class WarmWorkerPool:
         self.workers = workers
         self.checker = checker if checker is not None else CheckerConfig()
         self.cache = cache
-        self.escalation_factors = tuple(escalation_factors)
         self.max_retries = max_retries
         self.deaths = 0                       # workers lost over the lifetime
         self.ops = ops                        # operational event sink (or None)
@@ -194,7 +191,7 @@ class WarmWorkerPool:
         process = self._context.Process(
             target=_worker_main,
             args=(worker_id, task_queue, self._result_queue, self.checker,
-                  seed, self.escalation_factors),
+                  seed),
             daemon=True)
         process.start()
         with self._meta_lock:

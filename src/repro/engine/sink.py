@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import IO, Dict, List, Optional
+from typing import IO, Dict, Optional
 
 from repro.core.report import (COUNTER_NAMES, SOLVER_COUNTERS, BugReport,
                                Counters, Diagnostic)
@@ -107,8 +107,7 @@ def repair_block(counters: Counters) -> Dict[str, object]:
     }
 
 
-def report_to_dict(name: str, report: BugReport, attempts: int = 1,
-                   escalated: bool = False,
+def report_to_dict(name: str, report: BugReport,
                    error: Optional[str] = None,
                    meta: Optional[Dict[str, object]] = None) -> Dict[str, object]:
     """Flatten one unit's bug report into the JSONL ``unit`` record.
@@ -124,8 +123,6 @@ def report_to_dict(name: str, report: BugReport, attempts: int = 1,
         "module": report.module,
         "error": error,
         "meta": dict(meta) if meta else {},
-        "attempts": attempts,
-        "escalated": escalated,
         "functions": [
             {
                 "function": fr.function,
@@ -162,11 +159,10 @@ class JsonlResultSink:
         self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
         self.lines_written = 0
 
-    def write_unit(self, name: str, report: BugReport, attempts: int = 1,
-                   escalated: bool = False, error: Optional[str] = None,
+    def write_unit(self, name: str, report: BugReport,
+                   error: Optional[str] = None,
                    meta: Optional[Dict[str, object]] = None) -> None:
-        self._write(report_to_dict(name, report, attempts=attempts,
-                                   escalated=escalated, error=error, meta=meta))
+        self._write(report_to_dict(name, report, error=error, meta=meta))
 
     def write_summary(self, stats: Dict[str, object]) -> None:
         record = {"type": "run"}

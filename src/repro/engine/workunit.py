@@ -3,20 +3,18 @@
 A :class:`WorkUnit` is one translation unit to check — either MiniC source
 text (compiled inside the worker, so only strings cross the process
 boundary) or an already-lowered IR module.  :func:`check_work_unit` is the
-pure function a worker runs: compile if needed, check every function, and
-retry with an escalated per-query budget while any function still blows it.
-Everything it takes and returns pickles, which is what lets
-:class:`~repro.engine.engine.CheckEngine` and the checking daemon fan
-units out over the worker processes of
+pure function a worker runs: compile if needed, then check every function
+once under the checker's one per-query budget.  Everything it takes and
+returns pickles, which is what lets :class:`~repro.engine.engine.CheckEngine`
+and the checking daemon fan units out over the worker processes of
 :class:`~repro.engine.pool.WarmWorkerPool`.
 
 Each function is checked through incremental solver contexts (see
 :mod:`repro.core.queries`), which count straight into the per-function
-:class:`FunctionReport`; escalation retries replace a starved function's
-report wholesale — so unit results always reflect the budget that actually
-produced them.
-``escalate_config`` copies every checker field, including ``incremental``,
-so retries run in the same solving mode as the base pass.
+:class:`FunctionReport`.  A query that exhausts
+``CheckerConfig.max_propagations`` answers UNKNOWN and counts in the
+function's ``timeouts``, so a unit's record is the same whichever entry
+point checked it.
 
 When ``CheckerConfig.trace`` is set, the whole unit runs under its own
 process-local :class:`~repro.obs.trace.Tracer` — in the worker *and* in
@@ -28,9 +26,8 @@ pops off and grafts into the run-level trace (see docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.core.checker import CheckerConfig, StackChecker
 from repro.core.queries import set_query_hook
@@ -68,8 +65,6 @@ class UnitResult:
 
     name: str
     report: BugReport
-    attempts: int = 1                    # 1 = the base budget sufficed
-    escalated: bool = False              # any retry was needed
     error: Optional[str] = None          # compile/verify failure, if any
     cache_entries: List[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)   # the work unit's annotations
@@ -88,27 +83,10 @@ class UnitResult:
         return self.error is None
 
 
-def escalate_config(config: CheckerConfig, factor: float) -> CheckerConfig:
-    """A copy of ``config`` with the per-query budget scaled by ``factor``."""
-    budget = config.max_propagations
-    if budget is not None:
-        budget = max(1, int(budget * factor))
-    return dataclasses.replace(config, max_propagations=budget)
-
-
 def check_work_unit(unit: WorkUnit, config: CheckerConfig,
                     cache: Optional[SolverQueryCache] = None,
-                    escalation_factors: Sequence[float] = (),
                     drain_cache: bool = True) -> UnitResult:
-    """Check one work unit, escalating the budget for starved functions.
-
-    The base pass checks the whole module.  While any function reports
-    queries that exhausted their budget and escalation steps remain, only
-    those functions are re-checked under the next (cumulatively scaled)
-    budget; their reports replace the starved ones.  Cached SAT/UNSAT
-    verdicts are replayed across attempts, while cached ``unknown`` verdicts
-    are ignored under a larger budget (see :mod:`repro.engine.cache`), so a
-    retry re-solves exactly the queries that ran out of budget.
+    """Check one work unit: every function once, under one budget.
 
     With ``config.trace`` set, the unit runs under a fresh tracer whose
     serialized spans ride home in ``meta["obs"]`` (see module docstring).
@@ -125,16 +103,13 @@ def check_work_unit(unit: WorkUnit, config: CheckerConfig,
     try:
         if not config.trace:
             result = _check_work_unit(unit, config, cache=cache,
-                                      escalation_factors=escalation_factors,
                                       drain_cache=drain_cache)
         else:
             tracer = obs_trace.Tracer(name=f"unit:{unit.name}")
             previous = obs_trace.activate(tracer)
             try:
-                result = _check_work_unit(
-                    unit, config, cache=cache,
-                    escalation_factors=escalation_factors,
-                    drain_cache=drain_cache)
+                result = _check_work_unit(unit, config, cache=cache,
+                                          drain_cache=drain_cache)
             finally:
                 obs_trace.restore(previous)
             result.meta = dict(result.meta)
@@ -149,7 +124,6 @@ def check_work_unit(unit: WorkUnit, config: CheckerConfig,
 
 def _check_work_unit(unit: WorkUnit, config: CheckerConfig,
                      cache: Optional[SolverQueryCache] = None,
-                     escalation_factors: Sequence[float] = (),
                      drain_cache: bool = True) -> UnitResult:
     if unit.module is None:
         from repro.api import compile_source
@@ -168,29 +142,8 @@ def _check_work_unit(unit: WorkUnit, config: CheckerConfig,
     report = checker.check_module(module)
     report.module = report.module or unit.name
 
-    attempts = 1
-    escalated = False
-    functions_by_name = {fn.name: fn for fn in module.defined_functions()}
-    for factor in escalation_factors:
-        starved = [fr for fr in report.functions if fr.timeouts > 0]
-        if not starved:
-            break
-        escalated = True
-        attempts += 1
-        retry_checker = StackChecker(escalate_config(config, factor),
-                                     query_cache=cache)
-        with span("unit.escalate", attempt=attempts):
-            for function_report in starved:
-                function = functions_by_name.get(function_report.function)
-                if function is None:
-                    continue
-                retried = retry_checker.check_function(function)
-                index = report.functions.index(function_report)
-                report.functions[index] = retried
-
     # Workers drain their discoveries so the parent can absorb them; in
     # sequential mode the engine owns the cache and flushes it directly.
     entries = cache.drain_new_entries() if cache is not None and drain_cache else []
-    return UnitResult(name=unit.name, report=report, attempts=attempts,
-                      escalated=escalated, cache_entries=entries,
+    return UnitResult(name=unit.name, report=report, cache_entries=entries,
                       meta=dict(unit.meta))

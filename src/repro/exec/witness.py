@@ -43,7 +43,7 @@ from repro.core.ubconditions import UBCondition, UBKind
 from repro.exec.clone import clone_function
 from repro.exec.interp import ExecResult, ExecStatus, ExternalEnv, run_function
 from repro.ir.function import Function, Module
-from repro.ir.instructions import Call, Instruction, Load
+from repro.ir.instructions import Call, Load
 from repro.obs.trace import span
 from repro.solver.solver import DEFAULT_MAX_PROPAGATIONS, CheckResult, Solver
 from repro.solver.terms import Term

@@ -155,8 +155,7 @@ def repair_diagnostic(function: Function, encoder: FunctionEncoder,
     last_gates: List[GateResult] = []
     last_reason = ""
     # The equivalence proof is one query standing in for a hand-written
-    # patch review; it gets the same 4x escalation the engine grants
-    # starved functions.
+    # patch review, so it gets four times the per-query budget.
     equivalence_budget = None if config.max_propagations is None \
         else config.max_propagations * 4
     for candidate in candidates:

@@ -44,7 +44,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import socket
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.checker import CheckerConfig
 from repro.engine.workunit import WorkUnit

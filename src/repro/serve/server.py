@@ -76,8 +76,6 @@ class ServeConfig:
     #: has its jobs cancelled and its connection cut, so a wedged consumer
     #: cannot hold the drain open forever.
     drain_stall_timeout: float = 10.0
-    #: Cumulative budget multipliers for retrying timed-out functions.
-    escalation_factors: Tuple[float, ...] = (4.0, 16.0)
     #: Chrome trace-event JSON written on drain (implies tracing).
     trace_path: Optional[str] = None
     #: Structured JSONL event log (None = events feed only the flight
@@ -203,8 +201,7 @@ class ServeServer:
         self._started = True
         self._pool = WarmWorkerPool(
             workers=self.config.workers, checker=self.config.checker,
-            cache=self.cache,
-            escalation_factors=self.config.escalation_factors, ops=self.ops)
+            cache=self.cache, ops=self.ops)
         path = self.config.socket_path
         if os.path.exists(path):
             os.unlink(path)
@@ -644,14 +641,10 @@ class ServeServer:
             return                            # job was cancelled and retired
         results.append(result)
         record = report_to_dict(result.name, result.report,
-                                attempts=result.attempts,
-                                escalated=result.escalated,
                                 error=result.error, meta=result.meta)
         sink = self._sinks.get(job.job_id)
         if sink is not None:
-            sink.write_unit(result.name, result.report,
-                            attempts=result.attempts,
-                            escalated=result.escalated, error=result.error,
+            sink.write_unit(result.name, result.report, error=result.error,
                             meta=result.meta)
         client = self._clients.get(job.client_id)
         if client is not None:

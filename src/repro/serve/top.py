@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from typing import Any, Dict, List, Mapping
+from typing import Any, List, Mapping
 
 __all__ = ["render_dashboard", "top_main"]
 

@@ -35,7 +35,7 @@ clause stream instead.  Backends must agree on verdicts; models may differ
 The budget is counted in SAT propagations, not seconds: the paper gives
 Boolector 5 s per query, and ``DEFAULT_MAX_PROPAGATIONS`` is about that much
 CDCL work, but a verdict under it never depends on the clock or on the load
-of the machine (docs/ENGINE.md, "Budgets and escalation").
+of the machine (docs/ENGINE.md, "Budgets").
 """
 
 from __future__ import annotations
@@ -71,16 +71,13 @@ class CheckResult(enum.Enum):
 class SolverStats:
     """Counters accumulated across all queries issued to a solver.
 
-    The first block counts queries and how they were decided; the second
-    block exposes the work the CDCL/bit-blasting layers did, which is what
+    The first block counts time and the oracle pre-pass's answers; the
+    second exposes the work the CDCL/bit-blasting layers did, which is what
     makes the incremental-vs-scratch comparison observable in run stats
-    (see docs/SOLVER.md for a tuning table).
+    (see docs/SOLVER.md for a tuning table).  The checker counts verdicts
+    itself, in the function's ``queries`` and ``timeouts``.
     """
 
-    queries: int = 0
-    sat: int = 0
-    unsat: int = 0
-    unknown: int = 0
     solver_time: float = 0.0      # seconds inside check
 
     oracle_sat: int = 0           # queries decided SAT by the oracle pre-pass
@@ -93,16 +90,6 @@ class SolverStats:
     propagations: int = 0
     blasted_clauses: int = 0      # CNF clauses produced by bit-blasting
     blast_hits: int = 0           # term encodings reused from the blast cache
-
-    def record(self, result: CheckResult, elapsed: float) -> None:
-        self.queries += 1
-        self.solver_time += elapsed
-        if result is CheckResult.SAT:
-            self.sat += 1
-        elif result is CheckResult.UNSAT:
-            self.unsat += 1
-        else:
-            self.unknown += 1
 
     def merge(self, other: "SolverStats") -> None:
         """Accumulate another stats block into this one.
@@ -293,7 +280,7 @@ class Solver:
             result = self._check_incremental(terms, deltas)
         else:
             result = self._check_scratch(conjunction, terms)
-        self.stats.record(result, time.monotonic() - start)
+        self.stats.solver_time += time.monotonic() - start
         return result
 
     def model(self) -> Model:

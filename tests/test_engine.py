@@ -3,8 +3,9 @@
 Covers the acceptance surface of the engine PR: content-addressed cache
 hit/miss and budget semantics, disk round-trip of the cache, parallel vs.
 sequential result equivalence over the built-in snippet corpus, warm-cache
-reruns issuing strictly fewer solver queries, budget escalation, the JSONL
-result sink, and the CheckerConfig.describe() helper.
+reruns issuing strictly fewer solver queries, one per-query budget from
+every entry point, the JSONL result sink, and the CheckerConfig.describe()
+helper.
 """
 
 import dataclasses
@@ -25,7 +26,7 @@ from repro.engine.cache import (
     canonical_query_key,
 )
 from repro.engine.engine import CheckEngine, EngineConfig
-from repro.engine.workunit import WorkUnit, check_work_unit, escalate_config
+from repro.engine.workunit import WorkUnit, check_work_unit
 from repro.solver.terms import TermManager
 
 
@@ -489,41 +490,43 @@ def test_check_modules_parallel_equivalence():
         [len(r.bugs) for r in sequential]
 
 
-# -- budget escalation ----------------------------------------------------------------
+# -- one budget ----------------------------------------------------------------------
 
 #: A budget of one propagation starves every query that reaches CDCL.
 STARVED = CheckerConfig(max_propagations=1)
 
 
 def test_starved_budget_times_out_without_escalation():
-    engine = CheckEngine(EngineConfig(workers=0, checker=STARVED,
-                                      escalation_factors=()))
+    engine = CheckEngine(EngineConfig(workers=0, checker=STARVED))
     result = engine.check_corpus(
         [("fig1", snippet_by_name("fig1_pointer_overflow_check").render("t"))])
     assert result.stats.timeouts > 0
-    assert result.stats.escalated_units == 0
     assert result.stats.diagnostics == 0       # conservatively reports nothing
 
 
-def test_escalation_recovers_starved_functions():
-    engine = CheckEngine(EngineConfig(workers=0, checker=STARVED,
-                                      escalation_factors=(50_000.0,)))
-    result = engine.check_corpus(
-        [("fig1", snippet_by_name("fig1_pointer_overflow_check").render("t"))])
-    assert result.stats.escalated_units == 1
-    assert result.results[0].attempts == 2
-    assert result.stats.timeouts == 0
-    baseline = check_source(snippet_by_name("fig1_pointer_overflow_check").render("t"))
-    assert len(result.bugs) == len(baseline.bugs) > 0
+@pytest.mark.parametrize("workers", [0, 2])
+def test_every_entry_point_checks_under_one_budget(tmp_path, workers):
+    """Under a budget small enough that some queries run out, the engine's
+    unit records equal what ``check_source`` reports for the same unit."""
+    from repro.engine.sink import report_to_dict, verdict_view
 
-
-def test_escalate_config_scales_budget():
-    config = CheckerConfig(max_propagations=100)
-    scaled = escalate_config(config, 4.0)
-    assert scaled.max_propagations == 400
-    assert config.max_propagations == 100       # original untouched
-    unlimited = escalate_config(CheckerConfig(max_propagations=None), 4.0)
-    assert unlimited.max_propagations is None
+    config = CheckerConfig(max_propagations=1000)
+    units = [(s.name, s.render("budget")) for s in SNIPPETS]
+    path = tmp_path / "results.jsonl"
+    result = CheckEngine(EngineConfig(
+        workers=workers, checker=config, cache_enabled=False,
+        results_path=str(path))).check_corpus(units)
+    assert result.stats.timeouts > 0           # the budget does bind
+    records = [json.loads(line) for line
+               in path.read_text(encoding="utf-8").splitlines()]
+    engine_records = [json.dumps(verdict_view(record), sort_keys=True)
+                      for record in records if record["type"] == "unit"]
+    direct_records = [
+        json.dumps(verdict_view(report_to_dict(
+            name, check_source(source, filename=name + ".c", config=config))),
+            sort_keys=True)
+        for name, source in units]
+    assert engine_records == direct_records
 
 
 # -- work units and error handling ----------------------------------------------------
@@ -552,7 +555,6 @@ def test_check_work_unit_standalone():
     unit = WorkUnit(name="u", source=snippet_by_name("fig2_null_check_after_deref").render("t"))
     result = check_work_unit(unit, CheckerConfig(), cache=SolverQueryCache())
     assert result.ok
-    assert result.attempts == 1
     assert len(result.report.bugs) > 0
     assert result.cache_entries                 # worker-side drain happened
 

@@ -220,9 +220,9 @@ class TestMetrics:
     def test_absorb_dataclass_prefixes_and_gauges(self):
         from repro.solver.solver import SolverStats
 
-        stats = SolverStats(queries=4, oracle_sat=2)
+        stats = SolverStats(sat_calls=4, oracle_sat=2)
         reg = absorb_dataclass(MetricsRegistry(), "solver", stats)
-        assert reg.counter("solver.queries") == 4
+        assert reg.counter("solver.sat_calls") == 4
         assert reg.counter("solver.oracle_sat") == 2
 
     def test_config_snapshot_is_json_safe(self):

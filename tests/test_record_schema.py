@@ -70,8 +70,8 @@ DIAGNOSTIC_PATHS = ["function", "location", "algorithm", "message",
                     "witness", "repair"]
 
 UNIT_KEYS = (
-    ["type", "unit", "module", "error", "meta", "attempts", "escalated",
-     "functions", "diagnostics", "queries", "cache_hits", "timeouts"]
+    ["type", "unit", "module", "error", "meta", "functions", "diagnostics",
+     "queries", "cache_hits", "timeouts"]
     + SOLVER
     + ["analysis_time", "witnesses_confirmed", "witnesses_unconfirmed",
        "witnesses_inconclusive", "witness_time", "repairs_attempted",
@@ -83,8 +83,8 @@ CLUSTER = ["functions", "clusters", "propagated", "confirmed", "fallbacks",
 
 RUN_PATHS = (
     ["type", "units", "failed_units", "functions", "diagnostics", "queries",
-     "solver_queries", "cache_hits", "timeouts", "escalated_units",
-     "workers", "wall_clock", "analysis_time"]
+     "solver_queries", "cache_hits", "timeouts", "workers", "wall_clock",
+     "analysis_time"]
     + nested("solver", SOLVER) + nested("witnesses", WITNESSES)
     + nested("repair", REPAIR) + nested("cluster", CLUSTER)
     + ["version", "config"])
@@ -111,15 +111,15 @@ CHECKER_SETTINGS = ["backend", "classify", "cluster", "incremental", "inline",
                     "max_propagations", "minimize_ub_sets", "repair",
                     "slow_query_ms", "trace", "validate_witnesses",
                     "witness_seed"]
-ENGINE_SETTINGS = ["cache_enabled", "escalation_factors", "workers"]
+ENGINE_SETTINGS = ["cache_enabled", "workers"]
 FUZZ_SETTINGS = ["budget", "differential", "reduce", "repair", "scenarios",
                  "seed", "validate_witnesses"]
 
 RUN_METRICS = sorted(
     f"run.{name}" for name in
     ["units", "failed_units", "functions", "diagnostics", "queries",
-     "solver_queries", "cache_hits", "timeouts", "escalated_units",
-     "workers", "wall_clock", "analysis_time", "contexts", "sat_calls",
+     "solver_queries", "cache_hits", "timeouts", "workers", "wall_clock",
+     "analysis_time", "contexts", "sat_calls",
      "restarts", "blasted_clauses", "solver_time", "oracle_sat",
      "oracle_unsat", "witnesses_confirmed", "witnesses_unconfirmed",
      "witnesses_inconclusive", "witness_time", "repairs_attempted",

@@ -88,10 +88,9 @@ class TestBasicQueries:
         x = mgr.bv_var("x", WIDTH)
         solver = Solver(mgr)
         solver.add(mgr.eq(x, mgr.bv_const(1, WIDTH)))
-        solver.check()
-        solver.check()
-        assert solver.stats.queries == 2
-        assert solver.stats.sat == 2
+        assert solver.check() is CheckResult.SAT
+        assert solver.check() is CheckResult.SAT
+        assert solver.stats.solver_time > 0
 
 
 class TestArithmeticSemantics:

@@ -152,7 +152,7 @@ def test_counters_are_declared_once():
     solver_fields = {field.name for field in dataclasses.fields(SolverStats)}
     for name in SOLVER_COUNTERS:
         assert name in COUNTER_NAMES and name in solver_fields, name
-    # SolverStats.queries counts check calls; Counters.queries cache hits too.
+    # The checker counts queries, cache hits included; the solver does not.
     assert "queries" not in SOLVER_COUNTERS
     assert issubclass(RunStats, ClusterStats)
 
