@@ -18,15 +18,13 @@ timing ratios flaky).
 import time
 
 from repro.cluster import synthetic_cluster_corpus
-from repro.core.checker import CheckerConfig
 from repro.core.report import report_signature
 from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS
 from repro.engine.engine import CheckEngine, EngineConfig
 
 
 def _run(corpus, cluster, workers):
-    config = EngineConfig(workers=workers,
-                          checker=CheckerConfig(cluster=cluster),
+    config = EngineConfig(workers=workers, cluster=cluster,
                           cache_enabled=False)
     started = time.monotonic()
     result = CheckEngine(config).check_corpus(corpus)

@@ -281,8 +281,8 @@ def cluster_main(argv: Optional[List[str]] = None) -> int:
 
     config = EngineConfig(
         workers=args.workers,
-        checker=CheckerConfig(max_propagations=args.max_propagations,
-                              cluster=not args.no_cluster),
+        checker=CheckerConfig(max_propagations=args.max_propagations),
+        cluster=not args.no_cluster,
         cache_path=args.cache,
         results_path=args.out,
         trace_path=args.trace,

@@ -129,12 +129,12 @@ def check_corpus(sources: Iterable[Union[Tuple[str, str], str, "WorkUnit"]],
     prepared :class:`~repro.engine.workunit.WorkUnit` objects).  With
     ``workers > 1`` units are checked by a process pool; verdicts are shared
     through the solver-query cache and, when ``cache_path`` is given,
-    persisted so a rerun starts warm.  With ``config.cluster`` set, the
-    corpus is deduplicated by structural clustering first: one
-    representative per cluster of structurally identical functions is
-    solved and confirmed members receive the propagated verdict
-    (docs/CLUSTER.md).  Pass ``engine_config`` instead for full control
-    over every knob (see docs/ENGINE.md).
+    persisted so a rerun starts warm.  Pass ``engine_config`` instead for
+    full control over every knob (see docs/ENGINE.md); with
+    ``engine_config=EngineConfig(cluster=True)`` the corpus is deduplicated
+    by structural clustering first: one representative per cluster of
+    structurally identical functions is solved and confirmed members
+    receive the propagated verdict (docs/CLUSTER.md).
     """
     engine = _engine(config, workers, cache_path, results_path, engine_config)
     return engine.check_corpus(sources)

@@ -19,17 +19,20 @@ The pipeline has three stages (docs/CLUSTER.md):
    deterministic first-appearance order.
 3. **Propagate** (:mod:`repro.cluster.propagate`) — one representative per
    cluster is solved through the ordinary checker; every other member is
-   first *confirmed* equivalent by the dual-encoder solver gate reused from
-   the repair verifier (:func:`repro.repair.verify.prove_equivalence`'s
-   machinery), and only then receives a copy of the representative's
-   verdict, remapped onto its own instructions.  Members that cannot be
-   confirmed fall back to a full check — propagation never trades soundness
-   for speed.
+   first *confirmed* equivalent by the repair verifier's equivalence query
+   (:func:`repro.repair.verify.equivalence_query`), and only then receives
+   a copy of the representative's verdict, remapped onto its own
+   instructions.  Members that cannot be confirmed fall back to a full
+   check — propagation never trades soundness for speed.
+
+Clustering is a run mode of the corpus engine, and only the engine drives
+it: ``CheckEngine(EngineConfig(cluster=True))``, ``check_corpus(...,
+engine_config=EngineConfig(cluster=True))`` or ``python -m repro cluster``.
 """
 
 from repro.cluster.cluster import ClusterMember, FunctionCluster, cluster_functions
 from repro.cluster.fingerprint import FunctionFingerprint, fingerprint_function
-from repro.cluster.propagate import check_module_clustered, propagate_clusters
+from repro.cluster.propagate import propagate_clusters
 from repro.cluster.synthetic import synthetic_cluster_corpus
 from repro.core.report import ClusterStats
 
@@ -38,7 +41,6 @@ __all__ = [
     "ClusterStats",
     "FunctionCluster",
     "FunctionFingerprint",
-    "check_module_clustered",
     "cluster_functions",
     "fingerprint_function",
     "propagate_clusters",

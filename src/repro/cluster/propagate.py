@@ -1,20 +1,26 @@
 """Solve one representative per cluster, confirm members, copy verdicts.
 
+Clustering is a corpus-level run mode of the engine
+(``EngineConfig(cluster=True)``): :meth:`repro.engine.engine.CheckEngine`
+compiles the corpus, clusters its functions, checks the representatives
+through its ordinary fan-out and hands them to :func:`propagate_clusters`.
+
 Propagation is gated twice.  Membership in a cluster already means *exact*
 canonical-form equality (structural isomorphism up to renaming and
 commutative operand order), and on top of that every member must pass a
 per-member solver equivalence check before it may receive the
 representative's verdict: the member is cloned, renamed onto the
-representative through the fingerprint's positional isomorphism, and both
-functions are encoded into one shared :class:`TermManager` exactly the way
-the repair verifier's equivalence gate does it
-(:func:`repro.repair.verify.prove_equivalence`) — arguments equated, the
+representative through the fingerprint's positional isomorphism, both
+functions are encoded into one shared :class:`TermManager`, and
+``ret_rep ≠ ret_member`` must be UNSAT.  Because the aligned member
+hash-conses onto the representative's terms, the disequality collapses at
+construction time for true clones, so confirmation costs one encoding pass
+rather than a full blast-and-solve cycle.  A member that does not collapse
+goes through the repair verifier's equivalence query
+(:func:`repro.repair.verify.equivalence_query`, the query behind
+:func:`~repro.repair.verify.prove_equivalence`): arguments equated, the
 external world correlated by result name, the representative's
-reach-guarded well-definedness assumed, and ``ret_rep ≠ ret_member`` must
-come back UNSAT.  Because the aligned member hash-conses onto the
-representative's terms, the disequality collapses at construction time for
-true clones, so confirmation costs one encoding pass rather than a full
-blast-and-solve cycle.
+reach-guarded well-definedness assumed.
 
 A member that cannot be confirmed — an UNKNOWN verdict, a void return, or a
 diagnostic that cannot be remapped onto the member's own instructions — is
@@ -29,22 +35,21 @@ import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.cluster.cluster import ClusterMember, FunctionCluster, cluster_functions
+from repro.cluster.cluster import ClusterMember, FunctionCluster
 from repro.core.checker import CheckerConfig, StackChecker
 from repro.core.encode import FunctionEncoder
-from repro.core.report import BugReport, ClusterStats, Diagnostic, FunctionReport
+from repro.core.report import ClusterStats, Diagnostic, FunctionReport
 from repro.exec.clone import clone_function
-from repro.ir.function import Function, Module
+from repro.ir.function import Function
 from repro.ir.printer import print_instruction
-from repro.ir.verifier import verify_module
 from repro.obs.trace import counter, span
 from repro.repair.verify import (
-    _external_world_correlation,
-    _return_term,
-    _well_defined_original,
+    equivalence_query,
+    return_term,
+    well_defined_original,
 )
 from repro.solver.solver import CheckResult, Solver
-from repro.solver.terms import Term, TermManager
+from repro.solver.terms import TermManager
 
 
 def aligned_clone(member: ClusterMember, representative: ClusterMember) -> Function:
@@ -87,8 +92,8 @@ class ClusterConfirmer:
         self.max_propagations = max_propagations
         self.manager = TermManager()
         self.encoder = FunctionEncoder(representative.function, self.manager)
-        self.return_term = _return_term(self.encoder)
-        self.well_defined = _well_defined_original(self.encoder)
+        self.return_term = return_term(self.encoder)
+        self.well_defined = well_defined_original(self.encoder)
         self._members = 0
 
     def confirm(self, member: ClusterMember) -> bool:
@@ -106,7 +111,7 @@ class ClusterConfirmer:
         # precisely the name-keyed external-world correlation the slow path
         # asserts, applied at hash-cons time.
         encoder = FunctionEncoder(aligned, self.manager)
-        member_return = _return_term(encoder)
+        member_return = return_term(encoder)
         if member_return is self.return_term:
             solver = Solver(self.manager,
                             max_propagations=self.max_propagations)
@@ -119,25 +124,13 @@ class ClusterConfirmer:
         self._members += 1
         encoder = FunctionEncoder(aligned, self.manager,
                                   serial_start=self._members * 1_000_000)
-        member_return = _return_term(encoder)
+        member_return = return_term(encoder)
         if member_return is None or \
                 member_return.width != self.return_term.width:
             return False
-
-        terms: List[Term] = []
-        terms.extend(_external_world_correlation(
-            self.representative.function, aligned, self.encoder, encoder))
-        terms.extend(self.well_defined)
-        terms.append(self.manager.distinct(self.return_term, member_return))
-
-        solver = Solver(self.manager, max_propagations=self.max_propagations)
-        for term in terms:
-            solver.add(term)
-        for definitions in (self.encoder.definitions_for(*terms),
-                            encoder.definitions_for(*terms)):
-            for definition in definitions:
-                solver.add(definition)
-        return solver.check() is CheckResult.UNSAT
+        return equivalence_query(
+            self.encoder, encoder, self.return_term, member_return,
+            self.well_defined, self.max_propagations) is CheckResult.UNSAT
 
 
 def _map_diagnostic(diagnostic: Diagnostic, representative: ClusterMember,
@@ -238,33 +231,3 @@ def propagate_clusters(
             "fallbacks": fallbacks,
         })
     return reports, stats, records
-
-
-def check_module_clustered(
-    module: Module, config: CheckerConfig, cache=None,
-) -> Tuple[BugReport, ClusterStats]:
-    """Single-module clustering: the :class:`StackChecker` cluster path.
-
-    Verifies and (per config) inlines like ``check_module``, clusters the
-    module's own functions, and checks one representative per cluster.
-    """
-    verify_module(module)
-    if config.inline:
-        from repro.lower.inline import inline_module
-        inline_module(module)
-    base = dataclasses.replace(config, cluster=False, inline=False)
-
-    started = time.monotonic()
-    functions = module.defined_functions()
-    clusters = cluster_functions(
-        (0, index, module.name, function)
-        for index, function in enumerate(functions))
-    fingerprint_time = time.monotonic() - started
-
-    reports, stats, _records = propagate_clusters(clusters, base, cache)
-    stats.cluster_time += fingerprint_time
-
-    report = BugReport(module=module.name)
-    for index in range(len(functions)):
-        report.functions.append(reports[(0, index)])
-    return report, stats

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.ir.dominators import DominatorTree
 from repro.ir.function import BasicBlock, Function
@@ -28,7 +28,6 @@ from repro.ir.instructions import (
     ICmpPred,
     Instruction,
     Load,
-    Phi,
     Store,
 )
 from repro.ir.types import IntType

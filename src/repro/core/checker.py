@@ -86,10 +86,6 @@ class CheckerConfig:
     #: Stage 6: propose template rewrites for every diagnostic and attach
     #: the patches that clear the three-gate verifier (docs/REPAIR.md).
     repair: bool = False
-    #: Cluster structurally identical functions, solve one representative
-    #: per cluster, and propagate solver-confirmed verdicts to the other
-    #: members (docs/CLUSTER.md).
-    cluster: bool = False
     #: The SAT backend every solver query goes to: "builtin" (in-process
     #: CDCL), "pysat" or "dimacs" (docs/SOLVER.md).
     backend: str = "builtin"
@@ -133,11 +129,6 @@ class StackChecker:
 
     def check_module(self, module: Module) -> BugReport:
         """Check every defined function in ``module``."""
-        if self.config.cluster:
-            from repro.cluster.propagate import check_module_clustered
-            report, _stats = check_module_clustered(
-                module, self.config, cache=self.query_cache)
-            return report
         verify_module(module)
         if self.config.inline:
             from repro.lower.inline import inline_module

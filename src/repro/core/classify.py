@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from typing import Iterable, Optional
 
-from repro.core.report import Algorithm, Diagnostic
+from repro.core.report import Diagnostic
 from repro.core.ubconditions import UBKind
 
 

@@ -8,9 +8,8 @@ it costs one additional query per dominating UB condition.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from repro.core.encode import FunctionEncoder
 from repro.core.queries import QueryEngine
 from repro.core.report import MinimalUBSet
 from repro.core.ubconditions import UBCondition

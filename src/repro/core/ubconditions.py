@@ -10,8 +10,7 @@ plays the role of STACK's ``bug_on`` call insertion (§4.3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from repro.ir.instructions import Instruction
 from repro.solver.terms import Term

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.ubconditions import UBKind
-from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS, Snippet, snippets_for_kind
+from repro.corpus.snippets import STABLE_SNIPPETS, Snippet, snippets_for_kind
 
 #: Constants reported by the paper (§6.5, Figures 17 and 18).
 PAPER_TOTAL_PACKAGES = 17_432

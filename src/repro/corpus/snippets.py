@@ -10,8 +10,8 @@ flagged (used to measure false positives and to pad realistic corpora).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.classify import BugClass
 from repro.core.report import Algorithm

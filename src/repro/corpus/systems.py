@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.ubconditions import UBKind
-from repro.corpus.snippets import SNIPPETS, STABLE_SNIPPETS, Snippet, snippets_for_kind
+from repro.corpus.snippets import STABLE_SNIPPETS, Snippet, snippets_for_kind
 
 #: Column order of Figure 9.
 FIGURE9_KINDS: Tuple[UBKind, ...] = (

@@ -49,6 +49,10 @@ class EngineConfig:
     checker: CheckerConfig = field(default_factory=CheckerConfig)
     #: Share solver verdicts across functions / workers / runs.
     cache_enabled: bool = True
+    #: Cluster structurally identical functions across the corpus, solve
+    #: one representative per cluster, and propagate solver-confirmed
+    #: verdicts to the other members (docs/CLUSTER.md).
+    cluster: bool = False
     #: JSONL file the cache is warmed from and flushed to (None = in-memory only).
     cache_path: Optional[str] = None
     #: JSONL file streaming one record per finished unit plus a run summary.
@@ -220,7 +224,7 @@ class CheckEngine:
         interrupted = False
         try:
             try:
-                if self.config.checker.cluster:
+                if self.config.cluster:
                     results, cluster_stats = self._run_clustered(
                         work, sink, collected=collected)
                 elif self.config.workers > 1 and len(work) > 1:
@@ -319,23 +323,22 @@ class CheckEngine:
                        collected: Optional[List[UnitResult]] = None):
         """Cluster the whole corpus, solve representatives, propagate.
 
-        Units are compiled (and inlined, per the checker config) in the
-        parent so their functions can be fingerprinted across unit
-        boundaries; one mini-unit per cluster representative then goes
-        through the ordinary sequential/parallel machinery under a
-        ``cluster=False`` config, and the propagation layer distributes the
-        verdicts.  Unit records stream in submission order regardless of
-        worker count, followed by one record per cluster — which is what
-        makes clustered runs byte-comparable across ``--workers`` settings.
+        The engine is the only driver of clustering.  Units are compiled
+        (and inlined, per the checker config) in the parent so their
+        functions can be fingerprinted across unit boundaries; one
+        mini-unit per cluster representative then goes through the ordinary
+        sequential/parallel machinery with inlining already done, and the
+        propagation layer distributes the verdicts.  Unit records stream in
+        submission order regardless of worker count, followed by one record
+        per cluster — which is what makes clustered runs byte-comparable
+        across ``--workers`` settings.
         """
-        import dataclasses
-
         from repro.cluster.cluster import cluster_functions
         from repro.cluster.propagate import propagate_clusters
         from repro.ir.verifier import verify_module
 
         checker = self.config.checker
-        base = dataclasses.replace(checker, cluster=False, inline=False)
+        base = replace(checker, inline=False)
 
         modules: List[Optional[Module]] = []
         errors: List[Optional[str]] = []
@@ -482,6 +485,7 @@ class CheckEngine:
             "engine": {
                 "workers": self.config.workers,
                 "cache_enabled": self.config.cache_enabled,
+                "cluster": self.config.cluster,
             },
         }
         if self.cache is not None:

@@ -31,7 +31,7 @@ from repro.ir.instructions import (
     Store,
     Unreachable,
 )
-from repro.ir.values import Argument, Value
+from repro.ir.values import Value
 
 
 def clone_function(function: Function) -> Function:

@@ -61,7 +61,7 @@ from repro.ir.instructions import (
     Unreachable,
 )
 from repro.ir.types import type_size_bytes
-from repro.ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
+from repro.ir.values import Constant, GlobalVariable, UndefValue, Value
 
 
 class ExecStatus(enum.Enum):

@@ -19,7 +19,7 @@ differential run stay comparable; callers that want fail-stop behavior pass
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.ubconditions import UBKind
 from repro.ir.instructions import BinaryOp, BinOpKind, Call, GetElementPtr, Instruction

@@ -42,7 +42,7 @@ from repro.core.report import Counters, Diagnostic
 from repro.core.ubconditions import UBCondition, UBKind
 from repro.exec.clone import clone_function
 from repro.exec.interp import ExecResult, ExecStatus, ExternalEnv, run_function
-from repro.ir.function import Function, Module
+from repro.ir.function import Function
 from repro.ir.instructions import Call, Load
 from repro.obs.trace import span
 from repro.solver.solver import DEFAULT_MAX_PROPAGATIONS, CheckResult, Solver
@@ -157,11 +157,31 @@ def model_to_inputs(encoder: FunctionEncoder,
     return args, overrides
 
 
+def replay_model(function: Function, encoder: FunctionEncoder,
+                 model: Dict[str, int], seed: int = 0,
+                 ) -> Tuple[List[int], ExecResult, ExecResult]:
+    """Run ``function`` on ``model``'s inputs before and after the
+    full-capability pipeline, in one external world.
+
+    ``encoder`` encodes the function the model was solved for; its
+    arguments and external values give the inputs.  Returns the argument
+    values and the two runs.  Stage 5 replays a diagnostic's own function
+    this way, and the repair verifier's replay gate replays the patch.
+    """
+    args, overrides = model_to_inputs(encoder, model)
+    env = ExternalEnv(seed=seed, overrides=overrides, zero_fill=True)
+    pre = run_function(function, args, env=env)
+    optimized = clone_function(function)
+    OptimizationPipeline(capabilities=set(FULL_CAPABILITIES)).run_function(
+        optimized)
+    post = run_function(optimized, args, env=env)
+    return args, pre, post
+
+
 def replay_diagnostic(
         function: Function, encoder: FunctionEncoder,
         diagnostic: Diagnostic, hypothesis: Sequence[Term],
         conditions: Sequence[UBCondition],
-        module: Optional[Module] = None, fuel: int = 50_000,
         max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
         seed: int = 0) -> WitnessReport:
     """Extract a witness for one diagnostic and replay it pre/post optimizer."""
@@ -175,16 +195,9 @@ def replay_diagnostic(
                              reason="no satisfying model within budget",
                              reported_kinds=reported)
 
-    args, overrides = model_to_inputs(encoder, model)
+    args, pre, post = replay_model(function, encoder, model, seed=seed)
     inputs = {argument.name: value
               for argument, value in zip(function.arguments, args)}
-    env = ExternalEnv(seed=seed, overrides=overrides, zero_fill=True)
-
-    pre = run_function(function, args, module=module, env=env, fuel=fuel)
-    optimized = clone_function(function)
-    OptimizationPipeline(capabilities=set(FULL_CAPABILITIES)).run_function(optimized)
-    post = run_function(optimized, args, module=module, env=env, fuel=fuel)
-
     return _judge(pre, post, inputs, reported)
 
 

@@ -5,11 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.api import check_source
 from repro.core.classify import BugClass
-from repro.core.checker import CheckerConfig
-from repro.corpus.snippets import SNIPPETS, Snippet, paper_figure_snippets
-from repro.corpus.systems import generate_system_corpus, system_by_name
+from repro.corpus.snippets import Snippet, paper_figure_snippets
 from repro.experiments.common import SnippetAnalyzer, render_table
 
 

@@ -15,7 +15,7 @@ the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.report import Algorithm
 from repro.core.ubconditions import UBKind

@@ -7,9 +7,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.ubconditions import UBKind
 from repro.corpus.systems import (
-    FIGURE9_KIND_TOTALS,
     FIGURE9_KINDS,
-    FIGURE9_SYSTEM_TOTALS,
     FIGURE9_TOTAL_BUGS,
     SYSTEMS,
     SystemProfile,

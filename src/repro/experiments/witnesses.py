@@ -19,7 +19,7 @@ This driver makes that claim mechanical over the snippet corpus:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.api import compile_source
 from repro.compilers.profiles import ALL_PROFILES, CompilerProfile

@@ -7,7 +7,7 @@ LP64: char=8, short=16, int=32, long=long long=64, pointers=64.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 

@@ -51,11 +51,9 @@ from repro.frontend.ctypes import (
     BUILTIN_TYPEDEFS,
     CArray,
     CHAR,
-    CInt,
     CPointer,
     CStruct,
     CType,
-    CVoid,
     INT,
     LONG,
     SHORT,

@@ -9,8 +9,8 @@ After sema the AST is fully typed, so lowering is a mechanical translation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.frontend.ast_nodes import (
     AssignExpr,
@@ -36,7 +36,6 @@ from repro.frontend.ast_nodes import (
     IntLiteral,
     LabelStmt,
     MemberExpr,
-    ParamDecl,
     ReturnStmt,
     SizeofExpr,
     Stmt,
@@ -48,7 +47,6 @@ from repro.frontend.ast_nodes import (
     WhileStmt,
 )
 from repro.frontend.ctypes import (
-    BOOL,
     CArray,
     CFunction,
     CHAR,
@@ -56,7 +54,6 @@ from repro.frontend.ctypes import (
     CPointer,
     CStruct,
     CType,
-    CVoid,
     INT,
     LONG,
     UINT,

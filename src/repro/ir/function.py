@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.ir.instructions import (
     Branch,
@@ -10,9 +10,8 @@ from repro.ir.instructions import (
     Instruction,
     Phi,
     Return,
-    Unreachable,
 )
-from repro.ir.types import FunctionType, IRType
+from repro.ir.types import FunctionType
 from repro.ir.values import Argument, Value
 
 

@@ -8,8 +8,8 @@ overflow vs. unsigned wrap-around) apply to an operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 
 class IRType:

@@ -20,7 +20,6 @@ from repro.ir.instructions import (
     ICmp,
     Instruction,
     Phi,
-    Return,
     Store,
 )
 

@@ -34,7 +34,7 @@ from repro.ir.instructions import (
     Unreachable,
 )
 from repro.ir.source import inline_origin
-from repro.ir.values import Argument, Constant, UndefValue, Value
+from repro.ir.values import UndefValue, Value
 
 
 class InlineBudget:

@@ -31,7 +31,6 @@ from repro.frontend.ast_nodes import (
     ExprStmt,
     ForStmt,
     FunctionDecl,
-    GlobalVarDecl,
     GotoStmt,
     Identifier,
     IfStmt,
@@ -43,9 +42,7 @@ from repro.frontend.ast_nodes import (
     SizeofExpr,
     Stmt,
     StringLiteral,
-    StructDecl,
     TranslationUnit,
-    TypedefDecl,
     UnaryExpr,
     WhileStmt,
 )
@@ -61,8 +58,7 @@ from repro.frontend.ctypes import (
 from repro.frontend.errors import SemaError
 from repro.ir.builder import IRBuilder
 from repro.ir.function import BasicBlock, Function, Module
-from repro.ir.instructions import BinOpKind, CastKind, ICmpPred, Phi
-from repro.ir.source import Origin, SourceLocation
+from repro.ir.instructions import BinOpKind, CastKind, ICmpPred
 from repro.ir.types import (
     ArrayType,
     FunctionType,

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.ir.dominators import DominatorTree
 from repro.ir.function import BasicBlock, Function
-from repro.ir.instructions import Alloca, Instruction, Load, Phi, Store
+from repro.ir.instructions import Alloca, Load, Phi, Store
 from repro.ir.values import UndefValue, Value
 
 

@@ -202,9 +202,8 @@ def repair_diagnostic(function: Function, encoder: FunctionEncoder,
         else:
             with span("repair.gate.replay", template=candidate.template):
                 replay = replay_original_witness(
-                    candidate.patched, encoder, hypothesis, conditions,
-                    max_propagations=config.max_propagations,
-                    seed=config.witness_seed, model=model)
+                    candidate.patched, encoder, model,
+                    seed=config.witness_seed)
         gates.append(replay)
         if not replay.passed:
             rejections["replay"] = rejections.get("replay", 0) + 1

@@ -37,10 +37,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.compilers.pipeline import OptimizationPipeline
 from repro.compilers.profiles import ALL_PROFILES, CompilerProfile
 from repro.core.encode import FunctionEncoder
-from repro.core.ubconditions import UBCondition
 from repro.exec.clone import clone_function
-from repro.exec.interp import ExecStatus, ExternalEnv, run_function
-from repro.exec.witness import FULL_CAPABILITIES, model_to_inputs, solve_witness_model
+from repro.exec.interp import ExecStatus
+from repro.exec.witness import replay_model
 from repro.ir.function import Function
 from repro.ir.instructions import Alloca, BinaryOp, BinOpKind, Call, Instruction, Load
 from repro.ir.values import GlobalVariable, UndefValue
@@ -70,7 +69,7 @@ _DIVISION_KINDS = (BinOpKind.SDIV, BinOpKind.UDIV,
                    BinOpKind.SREM, BinOpKind.UREM)
 
 
-def _return_term(encoder: FunctionEncoder) -> Optional[Term]:
+def return_term(encoder: FunctionEncoder) -> Optional[Term]:
     """The function's return value as one term: an ite-chain over returns."""
     manager = encoder.manager
     pairs: List[Tuple[Term, Term]] = []
@@ -87,8 +86,7 @@ def _return_term(encoder: FunctionEncoder) -> Optional[Term]:
     return result
 
 
-def _external_world_correlation(original: Function, patched: Function,
-                                enc_a: FunctionEncoder,
+def _external_world_correlation(enc_a: FunctionEncoder,
                                 enc_b: FunctionEncoder) -> List[Term]:
     """Constraints making both encodings see one external world.
 
@@ -98,6 +96,7 @@ def _external_world_correlation(original: Function, patched: Function,
     axiomatized division results by operand congruence — same operands,
     same quotient.
     """
+    original, patched = enc_a.function, enc_b.function
     manager = enc_a.manager
     constraints: List[Term] = []
 
@@ -151,7 +150,7 @@ def _external_world_correlation(original: Function, patched: Function,
     return constraints
 
 
-def _well_defined_original(enc_a: FunctionEncoder) -> List[Term]:
+def well_defined_original(enc_a: FunctionEncoder) -> List[Term]:
     """⋀ (reach(d) → ¬U_d) over every instruction of the original."""
     manager = enc_a.manager
     assumptions: List[Term] = []
@@ -161,6 +160,34 @@ def _well_defined_original(enc_a: FunctionEncoder) -> List[Term]:
                 enc_a.instruction_reach(inst),
                 manager.not_(condition.condition)))
     return assumptions
+
+
+def equivalence_query(enc_a: FunctionEncoder, enc_b: FunctionEncoder,
+                      ret_a: Term, ret_b: Term, well_defined: Sequence[Term],
+                      max_propagations: Optional[int],
+                      ) -> CheckResult:
+    """Solve ``ret_a ≠ ret_b`` under one external world and ``well_defined``.
+
+    Both encoders share one manager.  UNSAT proves the two functions return
+    the same value on every input the assumptions allow.  The terms go to
+    the solver in a fixed order (correlation, well-definedness, the
+    disequality, then each encoder's definitions), so a query repeats its
+    verdict and its search.
+    """
+    manager = enc_a.manager
+    terms: List[Term] = []
+    terms.extend(_external_world_correlation(enc_a, enc_b))
+    terms.extend(well_defined)
+    terms.append(manager.distinct(ret_a, ret_b))
+
+    solver = Solver(manager, max_propagations=max_propagations)
+    for term in terms:
+        solver.add(term)
+    for definitions in (enc_a.definitions_for(*terms),
+                        enc_b.definitions_for(*terms)):
+        for definition in definitions:
+            solver.add(definition)
+    return solver.check()
 
 
 def prove_equivalence(
@@ -173,34 +200,23 @@ def prove_equivalence(
     # every unchanged subexpression hash-conses to the *same* term and the
     # disequality collapses onto the rewritten part.  A disjoint serial
     # range keeps the patched side's fresh variables (loads, calls, divs)
-    # distinct; the correlation constraints below tie them back together
+    # distinct; the correlation constraints tie them back together
     # explicitly and soundly.
     manager = TermManager()
     enc_a = FunctionEncoder(original, manager)
     enc_b = FunctionEncoder(patched, manager, serial_start=1_000_000)
 
-    ret_a = _return_term(enc_a)
-    ret_b = _return_term(enc_b)
+    ret_a = return_term(enc_a)
+    ret_b = return_term(enc_b)
     if ret_a is None or ret_b is None:
         return GateResult(gate, False,
                           "function has no return value to compare")
     if ret_a.width != ret_b.width:
         return GateResult(gate, False, "return widths differ")
 
-    terms: List[Term] = []
-    terms.extend(_external_world_correlation(original, patched, enc_a, enc_b))
-    terms.extend(_well_defined_original(enc_a))
-    terms.append(manager.distinct(ret_a, ret_b))
-
-    solver = Solver(manager, max_propagations=max_propagations)
-    for term in terms:
-        solver.add(term)
-    for definitions in (enc_a.definitions_for(*terms),
-                        enc_b.definitions_for(*terms)):
-        for definition in definitions:
-            solver.add(definition)
-
-    verdict = solver.check()
+    verdict = equivalence_query(enc_a, enc_b, ret_a, ret_b,
+                                well_defined_original(enc_a),
+                                max_propagations)
     if verdict is CheckResult.UNSAT:
         return GateResult(gate, True,
                           "patched function proven equivalent on all "
@@ -270,34 +286,17 @@ def recheck_stability(patched: Function, config,
 
 
 def replay_original_witness(
-        patched: Function, encoder: FunctionEncoder,
-        hypothesis: Sequence[Term], conditions: Sequence[UBCondition],
-        fuel: int = 50_000,
-        max_propagations: Optional[int] = DEFAULT_MAX_PROPAGATIONS,
-        seed: int = 0, model: Optional[Dict[str, int]] = None,
+        patched: Function, encoder: FunctionEncoder, model: Dict[str, int],
+        seed: int = 0,
 ) -> GateResult:
     """Gate 3: the diagnostic's own witness no longer splits the compilers.
 
-    The model depends only on the diagnostic (not the candidate), so the
-    orchestrator solves it once per diagnostic and passes it in; when
-    ``model`` is omitted the gate solves it itself.
+    ``model`` is the original's witness model (``encoder`` encodes the
+    original).  It depends only on the diagnostic, not the candidate, so
+    the orchestrator solves it once per diagnostic.
     """
     gate = "witness-replay"
-    if model is None:
-        model = solve_witness_model(encoder, hypothesis, conditions,
-                                    max_propagations=max_propagations)
-    if model is None:
-        return GateResult(gate, False,
-                          "no witness model within the solver budget")
-
-    args, overrides = model_to_inputs(encoder, model)
-    env = ExternalEnv(seed=seed, overrides=overrides, zero_fill=True)
-    pre = run_function(patched, args, env=env, fuel=fuel)
-    optimized = clone_function(patched)
-    OptimizationPipeline(capabilities=set(FULL_CAPABILITIES)).run_function(
-        optimized)
-    post = run_function(optimized, args, env=env, fuel=fuel)
-
+    args, pre, post = replay_model(patched, encoder, model, seed=seed)
     for label, result in (("unoptimized", pre), ("optimized", post)):
         if result.status in (ExecStatus.OUT_OF_FUEL, ExecStatus.TRAPPED):
             return GateResult(gate, False,

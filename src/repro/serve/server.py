@@ -47,6 +47,16 @@ from repro.serve import protocol
 from repro.engine.pool import PoolEvent, WarmWorkerPool
 from repro.serve.scheduler import AdmissionError, Job, JobScheduler
 
+#: Per-client outbox level above which the scheduler stops dispatching
+#: that client's units (backpressure).
+OUTBOX_HIGH_WATER = 64
+
+#: During drain, a client whose outbox stays at the high-water mark this
+#: many seconds (it stopped reading but still holds undispatched units) has
+#: its jobs cancelled and its connection cut, so a wedged consumer cannot
+#: hold the drain open forever.
+DRAIN_STALL_TIMEOUT = 10.0
+
 
 @dataclass
 class ServeConfig:
@@ -68,14 +78,6 @@ class ServeConfig:
     max_queued_units: int = 4096
     #: Per-client bound on outstanding (accepted, unemitted) units.
     client_quota: int = 1024
-    #: Per-client outbox level above which the scheduler stops dispatching
-    #: that client's units (the backpressure knob).
-    outbox_high_water: int = 64
-    #: During drain, a client whose outbox stays at the high-water mark this
-    #: many seconds (it stopped reading but still holds undispatched units)
-    #: has its jobs cancelled and its connection cut, so a wedged consumer
-    #: cannot hold the drain open forever.
-    drain_stall_timeout: float = 10.0
     #: Chrome trace-event JSON written on drain (implies tracing).
     trace_path: Optional[str] = None
     #: Structured JSONL event log (None = events feed only the flight
@@ -292,7 +294,7 @@ class ServeServer:
                 client_id = f"client-{self._client_counter}"
                 client = _ClientConn(
                     client_id, protocol.LineSocket(conn),
-                    outbox_capacity=self.config.outbox_high_water
+                    outbox_capacity=OUTBOX_HIGH_WATER
                     + self.config.workers * 2 + 8)
                 self._clients[client_id] = client
                 self.metrics.set_gauge("serve.clients", len(self._clients))
@@ -490,7 +492,7 @@ class ServeServer:
         client = self._clients.get(client_id)
         if client is None:
             return False                      # job will be cancelled shortly
-        return client.outbox.qsize() < self.config.outbox_high_water
+        return client.outbox.qsize() < OUTBOX_HIGH_WATER
 
     def _dispatch_loop(self) -> None:
         try:
@@ -528,7 +530,7 @@ class ServeServer:
 
         A connected-but-wedged consumer keeps its outbox at high-water, so
         the scheduler never dispatches its remaining units and the drain can
-        never complete.  After ``drain_stall_timeout`` seconds at high-water
+        never complete.  After ``DRAIN_STALL_TIMEOUT`` seconds at high-water
         its jobs are cancelled and the connection dropped; closing the
         socket also errors out a writer thread blocked in ``sendall``.
         Called with the server lock held (the lock is re-entrant, so
@@ -536,13 +538,13 @@ class ServeServer:
         """
         now = time.monotonic()
         for client in list(self._clients.values()):
-            if client.outbox.qsize() < self.config.outbox_high_water:
+            if client.outbox.qsize() < OUTBOX_HIGH_WATER:
                 client.stalled_since = None
                 continue
             if client.stalled_since is None:
                 client.stalled_since = now
                 continue
-            if now - client.stalled_since < self.config.drain_stall_timeout:
+            if now - client.stalled_since < DRAIN_STALL_TIMEOUT:
                 continue
             self._clients.pop(client.client_id, None)
             self.metrics.set_gauge("serve.clients", len(self._clients))

@@ -10,7 +10,7 @@ reproduction fast enough to analyze corpus-scale inputs.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.solver.terms import Op, Term, TermManager
 

@@ -52,7 +52,7 @@ from repro.solver.bitblast import BitBlaster
 from repro.solver.cnf import CnfBuilder
 from repro.solver.sat import SatResult, SatSolver
 from repro.solver.simplify import simplify
-from repro.solver.terms import Op, Term, TermManager, collect_variables
+from repro.solver.terms import Term, TermManager, collect_variables
 
 #: The per-query budget, in SAT propagations, of every solver the checker
 #: and its verifiers build.

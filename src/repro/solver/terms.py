@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class Op(enum.Enum):

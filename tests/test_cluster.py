@@ -12,9 +12,9 @@ import pytest
 
 from repro.api import compile_source
 from repro.cluster import (
-    check_module_clustered,
     cluster_functions,
     fingerprint_function,
+    propagate,
     synthetic_cluster_corpus,
 )
 from repro.core.checker import CheckerConfig, StackChecker
@@ -126,11 +126,31 @@ class TestClustering:
         assert len(clusters) == 1 and len(clusters[0]) == 2
 
 
+def _clustered_unit(source):
+    """A one-unit clustered engine run: the unit's report and run stats."""
+    result = CheckEngine(EngineConfig(cluster=True, cache_enabled=False)) \
+        .check_corpus([("t", source)])
+    (unit,) = result.results
+    return unit.report, result.stats
+
+
+def _reversed_copies():
+    """Each snippet twice in one module, the second copy's non-entry blocks
+    reversed: the same function, but not hash-cons-identical."""
+    modules = []
+    for snippet in SNIPPETS:
+        module = compile_source(snippet.render("a") + snippet.render("b"),
+                                f"{snippet.name}.c")
+        copy = module.defined_functions()[1]
+        copy.blocks[1:] = list(reversed(copy.blocks[1:]))
+        modules.append(module)
+    return modules
+
+
 class TestPropagation:
     def test_clustered_module_matches_exhaustive(self):
         source = "".join(SNIPPETS[0].render(tag) for tag in "abcd")
-        clustered, stats = check_module_clustered(
-            compile_source(source, "t.c"), CheckerConfig(cluster=True))
+        clustered, stats = _clustered_unit(source)
         plain = StackChecker(CheckerConfig()).check_module(
             compile_source(source, "t.c"))
         assert report_signature(clustered) == report_signature(plain)
@@ -143,8 +163,7 @@ class TestPropagation:
 
     def test_propagated_diagnostics_carry_member_identity(self):
         source = SNIPPETS[0].render("one") + SNIPPETS[0].render("two")
-        clustered, _stats = check_module_clustered(
-            compile_source(source, "t.c"), CheckerConfig(cluster=True))
+        clustered, _stats = _clustered_unit(source)
         member_report = clustered.functions[1]
         assert member_report.cluster_propagated
         for diagnostic in member_report.diagnostics:
@@ -156,8 +175,7 @@ class TestPropagation:
         # the member must be re-checked in full, never blindly copied.
         source = ("void sink_a(int *p) { if (p) *p = 0; }\n"
                   "void sink_b(int *q) { if (q) *q = 0; }\n")
-        clustered, stats = check_module_clustered(
-            compile_source(source, "t.c"), CheckerConfig(cluster=True))
+        clustered, stats = _clustered_unit(source)
         plain = StackChecker(CheckerConfig()).check_module(
             compile_source(source, "t.c"))
         assert report_signature(clustered) == report_signature(plain)
@@ -165,12 +183,37 @@ class TestPropagation:
         assert stats.cluster_propagated == 0 and stats.cluster_fallbacks == 1
         assert not any(fr.cluster_propagated for fr in clustered.functions)
 
-    def test_checker_config_flag_routes_check_module(self):
-        source = SNIPPETS[0].render("one") + SNIPPETS[0].render("two")
-        checker = StackChecker(CheckerConfig(cluster=True))
-        report = checker.check_module(compile_source(source, "t.c"))
-        assert [fr.cluster_propagated for fr in report.functions] == \
-            [False, True]
+    def test_reordered_copies_are_confirmed_by_the_equivalence_query(
+            self, monkeypatch):
+        # Reordered blocks encode to different terms, so no member collapses
+        # onto its representative and every one needs the full proof.
+        proofs = []
+        query = propagate.equivalence_query
+
+        def counted(*args):
+            verdict = query(*args)
+            proofs.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(propagate, "equivalence_query", counted)
+        clustered = CheckEngine(EngineConfig(
+            cluster=True, cache_enabled=False)).check_modules(
+                _reversed_copies())
+        monkeypatch.undo()
+        plain = CheckEngine(EngineConfig(cache_enabled=False)).check_modules(
+            _reversed_copies())
+
+        stats = clustered.stats
+        assert len(proofs) == len(SNIPPETS) == 22
+        assert stats.cluster_clusters == 22
+        assert stats.cluster_propagated == stats.cluster_confirmed == 21
+        assert stats.cluster_fallbacks == 1
+        (fallback,) = [result.name for result in clustered.results
+                       if not result.report.functions[1].cluster_propagated]
+        assert fallback == "signed_add_sanity_check.c"
+        assert [(r.name, report_signature(r.report))
+                for r in clustered.results] == \
+               [(r.name, report_signature(r.report)) for r in plain.results]
 
 
 class TestEngineIntegration:
@@ -178,7 +221,7 @@ class TestEngineIntegration:
         corpus = synthetic_cluster_corpus(12, seed=0, snippets=SNIPPETS[:4])
         results_path = tmp_path / "results.jsonl"
         clustered = CheckEngine(EngineConfig(
-            workers=0, checker=CheckerConfig(cluster=True),
+            workers=0, cluster=True,
             results_path=str(results_path))).check_corpus(corpus)
         exhaustive = CheckEngine(EngineConfig(
             workers=0, checker=CheckerConfig())).check_corpus(corpus)
@@ -214,7 +257,7 @@ class TestEngineIntegration:
         corpus = [("good", SNIPPETS[0].render("g")),
                   ("broken", "int f( {")]
         result = CheckEngine(EngineConfig(
-            workers=0, checker=CheckerConfig(cluster=True))).check_corpus(corpus)
+            workers=0, cluster=True)).check_corpus(corpus)
         assert result.stats.units == 2
         assert result.stats.failed_units == 1
         broken = result.results[1]

@@ -13,7 +13,6 @@ import json
 import pytest
 
 from repro.cluster import synthetic_cluster_corpus
-from repro.core.checker import CheckerConfig
 from repro.core.report import report_signature
 from repro.corpus.snippets import SNIPPETS
 from repro.engine.engine import CheckEngine, EngineConfig
@@ -21,8 +20,7 @@ from repro.engine.engine import CheckEngine, EngineConfig
 
 def _clustered_run(corpus, workers, path):
     engine = CheckEngine(EngineConfig(
-        workers=workers, checker=CheckerConfig(cluster=True),
-        cache_enabled=False, results_path=str(path)))
+        workers=workers, cluster=True, cache_enabled=False, results_path=str(path)))
     result = engine.check_corpus(corpus)
     lines = path.read_text().splitlines()
     records = [json.loads(line) for line in lines]

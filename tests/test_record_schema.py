@@ -107,11 +107,11 @@ FUZZ_RUN_PATHS = (
 
 #: Setting names of the run record's ``config.checker`` and
 #: ``config.engine``, and of the ``fuzz-run`` record's ``config``.
-CHECKER_SETTINGS = ["backend", "classify", "cluster", "incremental", "inline",
+CHECKER_SETTINGS = ["backend", "classify", "incremental", "inline",
                     "max_propagations", "minimize_ub_sets", "repair",
                     "slow_query_ms", "trace", "validate_witnesses",
                     "witness_seed"]
-ENGINE_SETTINGS = ["cache_enabled", "workers"]
+ENGINE_SETTINGS = ["cache_enabled", "cluster", "workers"]
 FUZZ_SETTINGS = ["budget", "differential", "reduce", "repair", "scenarios",
                  "seed", "validate_witnesses"]
 
@@ -158,7 +158,7 @@ def repair_run(tmp_path_factory):
 def clustered_run(tmp_path_factory):
     path = tmp_path_factory.mktemp("schema") / "clustered.jsonl"
     CheckEngine(EngineConfig(
-        checker=CheckerConfig(cluster=True, trace=True),
+        checker=CheckerConfig(trace=True), cluster=True,
         results_path=str(path))).check_corpus(UNITS + COPIES)
     return _records(path)
 

@@ -23,6 +23,7 @@ from repro.engine.pool import CRASH_META_KEY, TEST_HOOKS_ENV, WarmWorkerPool
 from repro.engine.sink import verdict_view
 from repro.engine.workunit import UnitResult, WorkUnit
 from repro.serve import protocol
+from repro.serve import server as server_module
 from repro.serve.scheduler import AdmissionError, JobScheduler
 from repro.serve.client import ServeClient, ServeError, SubmitRejected
 from repro.serve.server import ServeConfig, ServeServer
@@ -739,12 +740,13 @@ def test_records_racing_the_accept_reply_are_not_lost(tmp_path):
         server_thread.join(timeout=10)
 
 
-def test_drain_reaps_wedged_clients(serve_socket):
+def test_drain_reaps_wedged_clients(serve_socket, monkeypatch):
     """A client that stops reading while it still has undispatched units
-    must not hold a drain open forever: after ``drain_stall_timeout`` its
+    must not hold a drain open forever: after ``DRAIN_STALL_TIMEOUT`` its
     jobs are cancelled and the daemon finishes draining."""
-    server = _start_server(serve_socket, workers=1, outbox_high_water=2,
-                           drain_stall_timeout=1.0)
+    monkeypatch.setattr(server_module, "OUTBOX_HIGH_WATER", 2)
+    monkeypatch.setattr(server_module, "DRAIN_STALL_TIMEOUT", 1.0)
+    server = _start_server(serve_socket, workers=1)
     # Raw socket client so the test controls reads exactly: ~1 MiB of meta
     # per record overwhelms the kernel socket buffers, wedging the server's
     # writer thread and pinning the outbox at high-water.
